@@ -10,11 +10,11 @@ The matrix pins four engine configurations:
 * ``fcfs-vectorized`` — FCFS on a cache-disabled drive: the fully
   vectorized path (no per-request Python);
 * ``fcfs-columnar`` — FCFS with the write-back cache on: the columnar
-  sequential engine over the trace's structured request array;
+  loop's arrival-order branch over the trace's structured request array;
 * ``sstf-columnar`` — SSTF with full queue visibility: the columnar
-  engine with the sorted-pending/bisect pick kernel;
+  loop with an unbounded sorted window and the bisect pick kernel;
 * ``sstf-windowed`` — SSTF behind an NCQ window (``queue_depth=32``):
-  the windowed columnar engine.
+  the columnar loop with a 32-entry window.
 
 Each configuration's ``speedup`` is fast path over the reference event
 loop on the identical trace, with identical scheduling results (the

@@ -111,7 +111,7 @@ class DiskCache:
         """Snapshot of the mutable cache state as plain Python values:
         ``(segments, dirty, absorbed, drained, last_drain_time)``.
 
-        The columnar replay engines evolve this state with inlined copies
+        The columnar replay loop evolves this state with inlined copies
         of :meth:`read_hit` / :meth:`absorb_write` / :meth:`_drain_to`
         (same decisions, same float operations — bit-identity is pinned
         by the property suite) and hand it back via

@@ -174,7 +174,7 @@ class DiskDrive:
 
     def export_kinematics(self):
         """``(head_cylinder, last_media_end)`` — the motion state the
-        columnar engines evolve locally and restore on completion."""
+        columnar loop evolves locally and restores on completion."""
         return self._head_cylinder, self._last_media_end
 
     def import_kinematics(self, head_cylinder: int, last_media_end: int) -> None:

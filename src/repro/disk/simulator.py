@@ -7,7 +7,7 @@ the busy/idle timeline. This is the substitute for the measurement
 infrastructure the paper had on real drives: instead of observing busy
 and idle on hardware, we observe it on the model.
 
-The replay engine has several executions of the same queueing model,
+The replay engine has three executions of the same queueing model,
 picked per run so heavy traces replay as fast as the discipline allows:
 
 * a **vectorized FCFS path** — with FCFS the serve order *is* the arrival
@@ -15,29 +15,20 @@ picked per run so heavy traces replay as fast as the discipline allows:
   one batched service-time computation plus the classic
   ``finish[i] = max(arrival[i], finish[i-1]) + service[i]`` recurrence,
   evaluated with ``np.maximum.accumulate`` over cumulative sums — no
-  Python loop at all;
-* the **columnar engines** (:mod:`repro.disk.columnar`) — FCFS with the
-  cache enabled, SSTF with full visibility, and NCQ-windowed SSTF all
-  replay the structured-array request representation
-  (:data:`~repro.traces.millisecond.REQUEST_DTYPE`, built once per
-  replay) with the drive's decision logic inlined: geometry and media
-  times precomputed in vectorized passes, seek-curve constants hoisted,
-  rotational-latency draws block-buffered from the drive's own RNG, and
-  the SSTF nearest-neighbor decision served by the shared
-  :func:`~repro.disk.scheduler.pick_from_sorted` bisect kernel. They are
-  selected only for a bare, unobserved drive (no faults, no tier, no
-  enabled observer) and are bit-identical to the reference loop;
-* a **sequential FCFS path** — with caching enabled, service times depend
-  on the clock (write-buffer drain), so the drive is stepped request by
-  request, but with no queue or scheduler machinery at all (bit-identical
-  to the event loop); it remains the FCFS engine when an observer, fault
-  model or tier needs the per-access hooks;
-* a **sorted SSTF path** — the scalar twin of the columnar SSTF engine
-  (same cylinder-sorted queue and bisect kernel, drive stepped through
-  its real methods) for SSTF runs that need those hooks;
-* the **event loop** — the general path for seek-aware disciplines and
-  NCQ windows: the queue is kept in arrival order and windowed runs
-  slice the oldest ``queue_depth`` entries in O(queue_depth).
+  Python loop at all. It needs a bare drive (no faults, no tier);
+* the **columnar loop** (:func:`repro.disk.columnar.replay_columnar`) —
+  FCFS and SSTF at any queue depth over the structured-array request
+  representation (:data:`~repro.traces.millisecond.REQUEST_DTYPE`, built
+  once per replay), SSTF decisions served by the shared
+  :func:`~repro.disk.scheduler.pick_from_sorted` bisect kernel. A bare
+  drive is served with its decision logic inlined; a device that needs
+  per-access hooks (a tier, a fault model, a trace-level observer) is
+  called once per request (*hook mode*). Both modes are bit-identical
+  to the reference loop;
+* the **event loop** — the reference oracle, and the path for SCAN and
+  any scheduler instance other than the built-in FCFS/SSTF: the queue is
+  kept in arrival order and windowed runs slice the oldest
+  ``queue_depth`` entries in O(queue_depth).
 
 ``fast_path=False`` forces every run through the reference event loop;
 the equivalence of the fast paths is asserted against it in the test
@@ -46,17 +37,12 @@ suite.
 
 from __future__ import annotations
 
-from bisect import insort
 from dataclasses import replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.disk.columnar import (
-    run_fcfs_columnar,
-    run_sstf_columnar,
-    run_sstf_windowed_columnar,
-)
+from repro.disk.columnar import replay_columnar
 from repro.disk.drive import DiskDrive, DriveSpec
 from repro.disk.faults import FaultEvent, FaultModel, FaultProfile
 from repro.disk.scheduler import (
@@ -64,7 +50,6 @@ from repro.disk.scheduler import (
     Scheduler,
     SstfScheduler,
     make_scheduler,
-    pick_from_sorted,
 )
 from repro.disk.timeline import BusyIdleTimeline
 from repro.errors import SimulationError
@@ -243,10 +228,9 @@ class DiskSimulator:
         :class:`~repro.tier.TieredDevice` around the drive each run, so
         reads that hit flash complete at SSD latency, misses pay the
         drive (plus any synchronous dirty destage), and the result grows
-        ``tier_hits`` / ``tier_summary``. A tier always replays through
-        a per-request engine — the batched FCFS path cannot consult
-        residency, so it falls back to the bit-identical sequential
-        execution.
+        ``tier_hits`` / ``tier_summary``. The vectorized FCFS path cannot
+        consult residency, so a tier replays through the columnar loop in
+        hook mode (or the event loop) — bit-identical either way.
     obs:
         ``None`` (default) records nothing and is bit-identical to a
         simulator without the parameter. An
@@ -255,14 +239,14 @@ class DiskSimulator:
         passes; designed for ≤8% overhead on the fast paths); at level
         ``"trace"`` the drive, cache and fault model additionally emit
         typed events into ``obs.events``. Observability never changes
-        engine selection, RNG draws or results — every level is
-        bit-identical to ``obs=None`` on every engine (asserted by
-        property tests). One consequence: per-seek events need the
-        per-request drive hook, so the batched FCFS engine records
-        serve/queue-depth events (reconstructed post-hoc) but no seek
-        events; pass ``fast_path=False`` (or enable the cache / a fault
-        model / another discipline) to replay through a per-request
-        engine and get them.
+        RNG draws or results — every level is bit-identical to
+        ``obs=None`` on every engine (asserted by property tests). Trace
+        level does change *how* the columnar loop serves: per-seek and
+        absorbed-write events need the per-request drive hooks, so it
+        runs in hook mode. The vectorized FCFS path has no such hooks: it
+        records serve/queue-depth events (reconstructed post-hoc) but no
+        seek events; pass ``fast_path=False`` (or enable the cache / a
+        fault model / another discipline) to get them.
     """
 
     def __init__(
@@ -368,95 +352,58 @@ class DiskSimulator:
                     f"{capacity}; generate against this drive or pass remap_lbas=True"
                 )
 
-        # The columnar engines inline the drive's decision logic over the
-        # structured-array representation. They tally the cache counters
-        # locally (recorded post-run), but per-access *events* — seeks,
-        # write_absorbed — need the scalar hooks, so trace-level runs
-        # stay on the scalar twins. Results are bit-identical either way.
-        columnar_ok = (
-            self.fast_path
-            and drive.faults is None
-            and device is drive
-            and not tracing
-        )
-
-        def request_columns() -> np.ndarray:
-            # Remapping rewrites LBAs/sizes, so only unremapped runs can
-            # share the trace's memoized build.
-            if lbas is trace.lbas and sizes is trace.nsectors:
-                return trace.columns()
-            return build_request_columns(arrivals, lbas, sizes, trace.is_write)
-
         if n == 0:
             start_times = np.zeros(0, dtype=np.float64)
             service_times = np.zeros(0, dtype=np.float64)
             fault_events: List[FaultEvent] = []
-        elif self.fast_path and type(scheduler) is FcfsScheduler:
-            # FCFS serves in arrival order regardless of queue depth, so
-            # the queue machinery is pure overhead.
-            cache = drive.spec.cache
-            if (
-                not cache.read_ahead
-                and not cache.write_back
-                and drive.faults is None
-                and device is drive
-            ):
-                # The batched path cannot consult the per-access fault
-                # hook or tier residency; either one falls back to the
-                # bit-identical sequential execution.
-                start_times, service_times = _run_fcfs_vectorized(
-                    drive, arrivals, lbas, sizes
-                )
-                fault_events = []
-            elif columnar_ok:
-                start_times, service_times, cache_tally = run_fcfs_columnar(
-                    drive, request_columns()
-                )
-                fault_events = []
-                if observing:
-                    _record_cache_tally(obs, cache_tally)
-            else:
-                start_times, service_times, fault_events = _run_fcfs_sequential(
-                    device, arrivals, lbas, sizes, trace.is_write
-                )
-        elif type(scheduler) is SstfScheduler and columnar_ok:
-            if self.queue_depth is None:
-                start_times, service_times, cache_tally = run_sstf_columnar(
-                    drive, request_columns()
-                )
-            else:
-                start_times, service_times, cache_tally = run_sstf_windowed_columnar(
-                    drive, request_columns(), self.queue_depth
-                )
-            fault_events = []
-            if observing:
-                _record_cache_tally(obs, cache_tally)
-        elif (
-            self.fast_path
-            and type(scheduler) is SstfScheduler
-            and self.queue_depth is None
-        ):
-            start_times, service_times, fault_events = _run_sstf_sorted(
-                device, arrivals, lbas, sizes, trace.is_write
-            )
-        else:
+        elif not self.fast_path or type(scheduler) not in (FcfsScheduler, SstfScheduler):
             start_times, service_times, fault_events = _run_event_loop(
                 device, scheduler, arrivals, lbas, sizes, trace.is_write,
                 self.queue_depth,
             )
+        elif (
+            type(scheduler) is FcfsScheduler
+            and not drive.spec.cache.read_ahead
+            and not drive.spec.cache.write_back
+            and drive.faults is None
+            and device is drive
+        ):
+            # FCFS serves in arrival order regardless of queue depth, and
+            # with the cache off service times do not depend on the
+            # clock. The batched path cannot consult the per-access fault
+            # hook or tier residency; either one takes the columnar loop.
+            start_times, service_times = _run_fcfs_vectorized(
+                drive, arrivals, lbas, sizes
+            )
+            fault_events = []
+        else:
+            # Remapping rewrites LBAs/sizes, so only unremapped runs can
+            # share the trace's memoized build.
+            if lbas is trace.lbas and sizes is trace.nsectors:
+                columns = trace.columns()
+            else:
+                columns = build_request_columns(arrivals, lbas, sizes, trace.is_write)
+            start_times, service_times, fault_events, cache_tally = replay_columnar(
+                device, columns,
+                sstf=type(scheduler) is SstfScheduler,
+                queue_depth=self.queue_depth,
+            )
+            if observing:
+                _record_cache_tally(obs, cache_tally)
 
         drive_name = drive.spec.name
         tier_hits: Optional[np.ndarray] = None
         tier_summary: Optional[Dict[str, Any]] = None
         if device is not drive:
-            # The hit log is in service order; service times are strictly
-            # positive, so start times are strictly increasing in serve
-            # order and a stable argsort recovers the permutation back to
-            # trace order.
+            # The hit log is in service order. Start times are
+            # non-decreasing in serve order; two serves share a start only
+            # when the first took zero time (a zero-overhead drive-cache
+            # hit, never a tier hit: SSD latency is > 0), so ordering by
+            # (start, service) recovers the permutation back to trace
+            # order wherever it decides a hit flag.
             tier_hits = np.zeros(n, dtype=bool)
             if n:
-                order = np.argsort(start_times, kind="stable")
-                tier_hits[order] = device.hit_array()
+                tier_hits[_serve_order(start_times, service_times)] = device.hit_array()
             tier_summary = device.summary()
         result = SimulationResult(
             trace=trace,
@@ -510,105 +457,16 @@ def _run_fcfs_vectorized(
     return start_times, service_times
 
 
-def _run_fcfs_sequential(
-    drive: Union[DiskDrive, TieredDevice],
-    arrivals: np.ndarray,
-    lbas: np.ndarray,
-    sizes: np.ndarray,
-    is_write: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray, List[FaultEvent]]:
-    """FCFS with caching enabled (or a fault model attached): service
-    times depend on the clock (the write buffer drains in wall time), so
-    step the drive request by request — but skip the queue and scheduler
-    entirely. Bit-identical to the event loop: same ``service_time``
-    calls, in the same order, at the same clocks."""
-    n = arrivals.size
-    start_times = np.empty(n, dtype=np.float64)
-    service_times = np.empty(n, dtype=np.float64)
-    arrival_list = arrivals.tolist()
-    lba_list = lbas.tolist()
-    size_list = sizes.tolist()
-    write_list = is_write.tolist()
-    service_time = drive.service_time
-    record_faults = drive.faults is not None
-    events: List[FaultEvent] = []
-    clock = 0.0
-    for i in range(n):
-        arrival = arrival_list[i]
-        if arrival > clock:
-            clock = arrival
-        service = service_time(lba_list[i], size_list[i], write_list[i], clock)
-        if record_faults:
-            event = drive.take_fault_event()
-            if event is not None:
-                events.append(replace(event, index=i))
-        start_times[i] = clock
-        service_times[i] = service
-        clock += service
-    return start_times, service_times, events
-
-
-def _run_sstf_sorted(
-    drive: Union[DiskDrive, TieredDevice],
-    arrivals: np.ndarray,
-    lbas: np.ndarray,
-    sizes: np.ndarray,
-    is_write: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray, List[FaultEvent]]:
-    """SSTF with full queue visibility over an incrementally maintained
-    cylinder-sorted queue.
-
-    The pending set lives in a list sorted by ``(cylinder, arrival)``;
-    each decision bisects for the head position and compares the two
-    boundary runs — O(log n) comparisons instead of the linear scan of
-    :class:`SstfScheduler` — and picks exactly the entry the scan would:
-    minimal ``(|cylinder - head|, arrival)``.
-    """
-    n = arrivals.size
-    start_times = np.empty(n, dtype=np.float64)
-    service_times = np.empty(n, dtype=np.float64)
-    arrival_list = arrivals.tolist()
-    lba_list = lbas.tolist()
-    size_list = sizes.tolist()
-    write_list = is_write.tolist()
-    cylinder_of = drive.cylinder_of
-    service_time = drive.service_time
-    record_faults = drive.faults is not None
-    events: List[FaultEvent] = []
-
-    pending: List[Tuple[int, int]] = []  # (cylinder, arrival index), sorted
-    next_arrival = 0
-    clock = 0.0
-    completed = 0
-
-    while completed < n:
-        if not pending:
-            arrival = arrival_list[next_arrival]
-            if arrival > clock:
-                clock = arrival
-        while next_arrival < n and arrival_list[next_arrival] <= clock:
-            insort(pending, (cylinder_of(lba_list[next_arrival]), next_arrival))
-            next_arrival += 1
-
-        _, idx = pending.pop(pick_from_sorted(pending, drive.head_cylinder))
-
-        service = service_time(lba_list[idx], size_list[idx], write_list[idx], clock)
-        if record_faults:
-            event = drive.take_fault_event()
-            if event is not None:
-                events.append(replace(event, index=idx))
-        start_times[idx] = clock
-        service_times[idx] = service
-        clock += service
-        completed += 1
-    if record_faults:
-        events.sort(key=lambda e: e.index)
-    return start_times, service_times, events
-
-
 # ----------------------------------------------------------------------
 # Post-run observability (never on the hot path)
 # ----------------------------------------------------------------------
+
+def _serve_order(start_times: np.ndarray, service_times: np.ndarray) -> np.ndarray:
+    """Trace indices in service order: by start time, a zero-time serve
+    before the one that starts at the same clock after it, then by trace
+    index (stable)."""
+    return np.lexsort((service_times, start_times))
+
 
 def _record_metrics(
     obs: Observer,
@@ -657,11 +515,12 @@ def _record_metrics(
 
 
 def _record_cache_tally(obs: Observer, tally: Tuple[int, int, int]) -> None:
-    """Record the cache counters a columnar engine tallied locally.
+    """Record the cache counters the columnar loop tallied locally.
 
     Counters are created only for non-zero counts, matching the lazy
-    creation of the scalar hooks (which never see a zero increment) —
-    the observed registry is identical whichever engine ran.
+    creation of the cache's own hooks (which never see a zero
+    increment) — the observed registry is identical whichever engine
+    ran. In hook mode the tally is all zero: the hooks counted.
     """
     read_hits, writes_absorbed, writes_fallthrough = tally
     metrics = obs.metrics
@@ -689,7 +548,7 @@ def _emit_serve_events(
     index. Emission follows start-time order so the ``sim`` source stays
     time-ordered; the whole batch lands in the ring as one column block.
     """
-    order = np.argsort(start_times, kind="stable")
+    order = _serve_order(start_times, service_times)
     obs.emit_columns(
         "serve", "sim", start_times[order],
         index=order,

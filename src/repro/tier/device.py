@@ -3,9 +3,9 @@
 :class:`TieredDevice` wraps a :class:`~repro.disk.drive.DiskDrive` and
 exposes the same per-request surface the replay engines drive
 (``service_time`` / ``cylinder_of`` / ``head_cylinder`` /
-``take_fault_event``), so every engine — sequential FCFS, sorted SSTF,
-the reference event loop — replays through a tier without changing a
-line of engine code. With no tier configured the simulator hands the
+``take_fault_event``), so the columnar loop (in hook mode) and the
+reference event loop replay through a tier without changing a line of
+engine code. With no tier configured the simulator hands the
 engines the bare drive, which is what keeps ``tier=None`` runs
 bit-identical to a simulator that predates the tier.
 

@@ -2,10 +2,10 @@
 
 Every specialized execution in :mod:`repro.disk.simulator` must produce
 the same scheduling results as the reference event loop
-(``fast_path=False``): bit-identical for the sequential FCFS and sorted
-SSTF paths (same ``service_time`` calls in the same order), and within
-1e-9 for the vectorized FCFS path (the start-time recurrence reassociates
-float additions).
+(``fast_path=False``): bit-identical for the columnar loop in both its
+bare and hook modes (same decisions and RNG draws in the same order),
+and within 1e-9 for the vectorized FCFS path (the start-time recurrence
+reassociates float additions).
 """
 
 import numpy as np
@@ -166,35 +166,52 @@ class TestVectorizedFcfsProperty:
 
 class TestEngineMatrixProperty:
     """Property: whatever engine the simulator selects for a
-    configuration — columnar, sorted-scalar, vectorized, or the event
-    loop itself — the replay matches the reference event loop across
-    scheduler x cache x faults x seed."""
+    configuration — the columnar loop (bare or hook mode), the vectorized
+    FCFS path, or the event loop itself — the replay matches the
+    reference event loop across scheduler x queue depth x cache x faults
+    x tier x observability x seed."""
 
     @given(
         scheduler=st.sampled_from(["fcfs", "sstf", "scan"]),
         queue_depth=st.sampled_from([None, 4]),
         cached=st.booleans(),
         faulty=st.booleans(),
+        tier=st.sampled_from([None, "wt", "wb"]),
+        traced=st.booleans(),
         sim_seed=st.integers(min_value=0, max_value=2**16),
     )
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=40, deadline=None)
     def test_selected_engine_matches_reference(
         self, tiny_spec, tiny_spec_nocache, prop_trace,
-        scheduler, queue_depth, cached, faulty, sim_seed,
+        scheduler, queue_depth, cached, faulty, tier, traced, sim_seed,
     ):
-        from repro.disk.faults import light_faults
+        from repro.disk.faults import moderate_faults
+        from repro.obs import Observer
+        from repro.tier import TierConfig
 
         spec = tiny_spec if cached else tiny_spec_nocache
-        faults = light_faults() if faulty else None
-        fast = DiskSimulator(
-            spec, scheduler=scheduler, seed=sim_seed,
-            queue_depth=queue_depth, faults=faults,
-        ).run(prop_trace)
-        reference = DiskSimulator(
-            spec, scheduler=scheduler, seed=sim_seed,
-            queue_depth=queue_depth, faults=faults, fast_path=False,
-        ).run(prop_trace)
-        if scheduler == "fcfs" and not cached and not faulty:
+        faults = moderate_faults() if faulty else None
+        tier_config = (
+            None if tier is None else TierConfig(
+                mode=tier, capacity_bytes=1 << 22, chunk_sectors=256,
+                flush_interval=0.5, migrate_interval=1.0,
+            )
+        )
+
+        def replay(fast_path):
+            obs = Observer("trace") if traced else None
+            result = DiskSimulator(
+                spec, scheduler=scheduler, seed=sim_seed,
+                queue_depth=queue_depth, faults=faults, tier=tier_config,
+                obs=obs, fast_path=fast_path,
+            ).run(prop_trace)
+            return result, obs
+
+        (fast, fast_obs), (reference, reference_obs) = replay(True), replay(False)
+        vectorized = (
+            scheduler == "fcfs" and not cached and not faulty and tier is None
+        )
+        if vectorized:
             # The vectorized engine reassociates the start-time
             # recurrence; everything else is decision-for-decision exact.
             np.testing.assert_allclose(
@@ -208,8 +225,19 @@ class TestEngineMatrixProperty:
             np.testing.assert_array_equal(
                 fast.service_times, reference.service_times
             )
+            if traced:
+                # Hook mode fires the same per-access events (seeks,
+                # absorbed writes, retries, tier epochs) in the same order.
+                assert [e.as_dict() for e in fast_obs.events] == [
+                    e.as_dict() for e in reference_obs.events
+                ]
         np.testing.assert_array_equal(fast.failed, reference.failed)
-        assert len(fast.fault_events) == len(reference.fault_events)
+        assert fast.fault_events == reference.fault_events
+        if tier is None:
+            assert fast.tier_hits is None and reference.tier_hits is None
+        else:
+            np.testing.assert_array_equal(fast.tier_hits, reference.tier_hits)
+            assert fast.tier_summary == reference.tier_summary
 
 
 class TestZeroRequestPipeline:

@@ -389,6 +389,47 @@ class TestSimulatorIntegration:
         assert not result.tier_hits[0]
         assert result.tier_hits[1:].all()
 
+    @pytest.mark.parametrize("fast_path", [True, False])
+    def test_hits_map_back_when_zero_time_serves_tie(
+        self, tiny_spec, monkeypatch, fast_path
+    ):
+        # A zero-overhead drive cache completes absorbed writes in zero
+        # time, so the next serve starts at the same clock. The hit flags
+        # must still land on the requests that hit: ground truth is the
+        # tier's own per-call verdict, logged by LBA (unique per trace).
+        from repro.disk.cache import CacheConfig
+
+        spec = tiny_spec.with_cache(CacheConfig(hit_overhead=0.0))
+        served = {}
+        original = TieredDevice.service_time
+
+        def logged(device, lba, nsectors, is_write, now):
+            service = original(device, lba, nsectors, is_write, now)
+            served[lba] = device.hit_log[-1]
+            return service
+
+        monkeypatch.setattr(TieredDevice, "service_time", logged)
+        capacity = spec.capacity_sectors
+        misplaced = 0
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            n = 800
+            trace = RequestTrace(
+                times=np.sort(rng.uniform(0.0, 2.0, n)),
+                lbas=rng.choice(capacity - 8, size=n, replace=False),
+                nsectors=np.full(n, 8),
+                is_write=rng.random(n) < 0.5,
+                span=2.0,
+            )
+            served.clear()
+            result = DiskSimulator(
+                spec, "sstf", seed=seed, fast_path=fast_path,
+                tier=TierConfig(mode="wt", capacity_bytes=1 << 22),
+            ).run(trace)
+            truth = np.array([served[lba] for lba in trace.lbas.tolist()])
+            misplaced += int((result.tier_hits != truth).sum())
+        assert misplaced == 0
+
     def test_hit_requests_are_faster(self, tiny_spec_nocache):
         trace = repeated_trace(n=8)
         result = DiskSimulator(
