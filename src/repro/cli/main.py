@@ -67,6 +67,8 @@ _DRIVES = {
     "nearline-7200": nearline_7200,
 }
 
+SCHEDULERS = ["fcfs", "sstf", "scan"]
+
 
 def _drive(name: str) -> DriveSpec:
     try:
@@ -236,27 +238,9 @@ def _cmd_synth_family(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_analyze_ms(args: argparse.Namespace) -> int:
-    trace = _load_trace(args)
-    drive = _drive(args.drive)
-    faults = _fault_profile(args.fault_profile)
-    tier = _tier_config(args)
-    obs = _observer_from_args(args)
-    study = run_millisecond_study(
-        trace, drive, scheduler=args.scheduler, faults=faults, tier=tier, obs=obs
-    )
-    print(_render_study(study, drive))
-    if faults is not None:
-        print(_fault_section(study.simulation))
-    if tier is not None:
-        print(_tier_section(study.simulation))
-    if obs is not None:
-        print(_obs_section(obs))
-        _dump_trace_events(obs, args.trace_events)
-    return 0
-
-
 def _cmd_study(args: argparse.Namespace) -> int:
+    from repro.core.dossier import render_study_report
+
     drive = _drive(args.drive)
     if (args.profile is None) == (args.trace is None):
         raise CliError("study needs exactly one of --profile or --trace")
@@ -264,18 +248,15 @@ def _cmd_study(args: argparse.Namespace) -> int:
     tier = _tier_config(args)
     obs = _observer_from_args(args)
     if args.trace is not None:
-        workload = _load_trace(args)
-        study = run_millisecond_study(
-            workload, drive, scheduler=args.scheduler,
-            faults=faults, tier=tier, obs=obs,
-        )
+        workload, synth = _load_trace(args), {}
     else:
-        profile = get_profile(args.profile)
-        study = run_millisecond_study(
-            profile, drive, span=args.span, seed=args.seed,
-            scheduler=args.scheduler, faults=faults, tier=tier, obs=obs,
-        )
-    print(_render_study(study, drive))
+        workload = get_profile(args.profile)
+        synth = {"span": args.span, "seed": args.seed}
+    study = run_millisecond_study(
+        workload, drive, scheduler=args.scheduler,
+        faults=faults, tier=tier, obs=obs, **synth,
+    )
+    print(render_study_report(study, drive_name=drive.name))
     if faults is not None:
         print(_fault_section(study.simulation))
     if tier is not None:
@@ -284,12 +265,6 @@ def _cmd_study(args: argparse.Namespace) -> int:
         print(_obs_section(obs))
         _dump_trace_events(obs, args.trace_events)
     return 0
-
-
-def _render_study(study, drive: DriveSpec) -> str:
-    from repro.core.dossier import render_study_report
-
-    return render_study_report(study, drive_name=drive.name)
 
 
 def _cmd_analyze_hourly(args: argparse.Namespace) -> int:
@@ -420,7 +395,6 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def _cmd_power(args: argparse.Namespace) -> int:
-    from repro.core.timescales import run_millisecond_study
     from repro.disk.power import PowerProfile, sweep_timeouts
 
     trace = _load_trace(args)
@@ -446,30 +420,128 @@ def _cmd_power(args: argparse.Namespace) -> int:
     return 0
 
 
-def _failure_table(report) -> Table:
-    table = Table(
-        ["job", "error", "attempts", "wall_s", "message"],
-        title=f"failures: {len(report.failures)} of {report.n_jobs} jobs",
-        precision=3,
+def _execute_suite(args, units, unit: str, run, **limits):
+    """Run a suite through the runner, journal and chaos plumbing that
+    ``run-suite`` and ``fleet`` share; returns ``(report, journal)``.
+
+    ``units`` are the journal's checkpoint units (jobs, or a fleet's
+    dispatch shards), named ``unit`` in the resume line.
+    ``run(runner, journal)`` executes the suite and ``limits`` are extra
+    :class:`~repro.core.runner.ExperimentRunner` options. A
+    :class:`~repro.errors.SuiteError` is reported on stderr and its
+    partial report returned.
+    """
+    from repro.core.runner import ExperimentRunner
+    from repro.errors import SuiteError
+
+    chaos = None
+    if args.chaos != "off":
+        from repro.core.chaos import get_chaos_policy
+
+        chaos = get_chaos_policy(args.chaos, seed=args.chaos_seed)
+    runner = ExperimentRunner(
+        workers=args.workers,
+        max_retries=args.max_retries,
+        on_error="collect" if args.keep_going else "raise",
+        chaos=chaos,
+        **limits,
     )
-    for f in report.failures:
-        table.add_row(
-            [f.label, f.error_type, f.attempts, f.wall_seconds, f.message]
+    journal = None
+    if args.resume and not args.journal:
+        raise CliError("--resume requires --journal PATH")
+    if args.journal:
+        from repro.core.journal import SuiteJournal
+
+        journal = SuiteJournal.open(args.journal, units, resume=args.resume)
+        if journal.resumed and journal.n_completed:
+            print(
+                f"(resuming from journal {args.journal}: "
+                f"{journal.n_completed} of {len(units)} {unit}s already "
+                "recorded, skipping them)"
+            )
+    try:
+        report = run(runner, journal)
+    except SuiteError as exc:
+        report = exc.report
+        print(f"error: {exc}", file=sys.stderr)
+    finally:
+        if journal is not None:
+            journal.close()
+    return report, journal
+
+
+def _print_suite_tail(args, report, journal, unit: str) -> None:
+    """Print what every suite run ends with: failures, retries, the
+    resilience counters, the journal state and a deadline warning."""
+    if report.failures:
+        failures = Table(
+            ["job", "error", "attempts", "wall_s", "message"],
+            title=f"failures: {len(report.failures)} of {report.n_jobs} jobs",
+            precision=3,
         )
-    return table
+        for f in report.failures:
+            failures.add_row(
+                [f.label, f.error_type, f.attempts, f.wall_seconds, f.message]
+            )
+        print()
+        print(failures.render())
+    if report.retries:
+        print(f"({report.retries} retried attempt(s) across the suite)")
+    if report.resilience:
+        resilience = Table(
+            ["event", "count"],
+            title="resilience: what the crash/chaos machinery absorbed",
+        )
+        for name, count in sorted(report.resilience.items()):
+            resilience.add_row([name, count])
+        print(resilience.render())
+    if journal is not None:
+        print(
+            f"(journal {args.journal}: {journal.n_recorded} {unit}(s) recorded "
+            f"this run, {journal.n_completed} of {len(journal.fingerprints)} "
+            "durable)"
+        )
+    if report.deadline_exceeded:
+        unresolved = report.n_jobs - report.n_completed
+        deadline = getattr(args, "suite_deadline", None)  # fleet has none
+        print(
+            f"warning: suite deadline of {deadline} s expired "
+            f"with {unresolved} job(s) unresolved; the report is partial"
+            + (" (resume with --journal/--resume)" if journal is not None else ""),
+            file=sys.stderr,
+        )
+
+
+def _write_suite_json(path: str, report, noun: str, extra: dict) -> None:
+    """Write a suite's ``--json`` payload: the report keys every suite
+    command shares plus the command's own ``extra`` keys."""
+    import json
+
+    payload = {
+        "jobs": [r.as_dict() for r in report.results],
+        "failures": [f.as_dict() for f in report.failures],
+        "n_jobs": report.n_jobs,
+        "workers": report.workers,
+        "retries": report.retries,
+        "wall_seconds": report.wall_seconds,
+        **extra,
+    }
+    if report.deadline_exceeded:
+        payload["deadline_exceeded"] = True
+    if report.resilience:
+        payload["resilience"] = dict(report.resilience)
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+    print(
+        f"wrote {len(report.results)} {noun} results "
+        f"({len(report.failures)} failures) to {path}"
+    )
 
 
 def _cmd_run_suite(args: argparse.Namespace) -> int:
     import json
 
-    from repro.core.runner import (
-        ExperimentJob,
-        ExperimentRunner,
-        derive_seeds,
-        experiment_matrix,
-    )
-    from repro.errors import SuiteError
-    from repro.synth.profiles import available_profiles
+    from repro.core.runner import ExperimentJob, derive_seeds, experiment_matrix
 
     drive = _drive(args.drive)
     faults = _fault_profile(args.fault_profile)
@@ -522,41 +594,13 @@ def _cmd_run_suite(args: argparse.Namespace) -> int:
             tier=tier,
             obs_level=obs_level,
         )
-    chaos = None
-    if args.chaos != "off":
-        from repro.core.chaos import get_chaos_policy
-
-        chaos = get_chaos_policy(args.chaos, seed=args.chaos_seed)
-    runner = ExperimentRunner(
-        workers=args.workers,
-        max_retries=args.max_retries,
+    report, journal = _execute_suite(
+        args, jobs, "job",
+        lambda runner, journal: runner.run_suite(jobs, journal=journal),
         job_timeout=args.job_timeout,
-        on_error="collect" if args.keep_going else "raise",
-        chaos=chaos,
         suite_deadline=args.suite_deadline,
         rss_limit_mb=args.rss_limit_mb,
     )
-    journal = None
-    if args.resume and not args.journal:
-        raise CliError("--resume requires --journal PATH")
-    if args.journal:
-        from repro.core.journal import SuiteJournal
-
-        journal = SuiteJournal.open(args.journal, jobs, resume=args.resume)
-        if journal.resumed and journal.n_completed:
-            print(
-                f"(resuming from journal {args.journal}: "
-                f"{journal.n_completed} of {len(jobs)} jobs already "
-                "recorded, skipping them)"
-            )
-    try:
-        report = runner.run_suite(jobs, journal=journal)
-    except SuiteError as exc:
-        report = exc.report
-        print(f"error: {exc}", file=sys.stderr)
-    finally:
-        if journal is not None:
-            journal.close()
 
     columns = [
         "workload", "scheduler", "seed", "requests", "utilization",
@@ -596,32 +640,7 @@ def _cmd_run_suite(args: argparse.Namespace) -> int:
             f"{report.n_failed_requests} failed requests, "
             f"{report.fault_penalty_seconds:.3f} s recovery penalty suite-wide)"
         )
-    if report.failures:
-        print()
-        print(_failure_table(report).render())
-    if report.retries:
-        print(f"({report.retries} retried attempt(s) across the suite)")
-    if report.resilience:
-        resilience = Table(
-            ["event", "count"],
-            title="resilience: what the crash/chaos machinery absorbed",
-        )
-        for name, count in sorted(report.resilience.items()):
-            resilience.add_row([name, count])
-        print(resilience.render())
-    if journal is not None:
-        print(
-            f"(journal {args.journal}: {journal.n_recorded} job(s) recorded "
-            f"this run, {journal.n_completed} of {report.n_jobs} durable)"
-        )
-    if report.deadline_exceeded:
-        unresolved = report.n_jobs - report.n_completed
-        print(
-            f"warning: suite deadline of {args.suite_deadline} s expired "
-            f"with {unresolved} job(s) unresolved; the report is partial"
-            + (" (resume with --journal/--resume)" if journal is not None else ""),
-            file=sys.stderr,
-        )
+    _print_suite_tail(args, report, journal, "job")
     if obs_level != "off":
         breakdown = report.phase_breakdown()
         if breakdown:
@@ -652,55 +671,24 @@ def _cmd_run_suite(args: argparse.Namespace) -> int:
                     written += 1
         print(f"wrote {written} trace events to {args.trace_events}")
     if args.json:
-        payload = {
-            "drive": drive.name,
-            "span": args.span,
-            "jobs": [r.as_dict() for r in report.results],
-            "failures": [f.as_dict() for f in report.failures],
-            "n_jobs": report.n_jobs,
-            "workers": report.workers,
-            "retries": report.retries,
-            "wall_seconds": report.wall_seconds,
-        }
-        if report.deadline_exceeded:
-            payload["deadline_exceeded"] = True
-        if report.resilience:
-            payload["resilience"] = dict(report.resilience)
+        extra = {"drive": drive.name, "span": args.span}
         if obs_level != "off":
-            payload["obs_level"] = obs_level
-            payload["phase_breakdown"] = report.phase_breakdown()
             merged = report.merged_metrics()
-            payload["metrics"] = None if merged is None else merged.as_dict()
+            extra["obs_level"] = obs_level
+            extra["phase_breakdown"] = report.phase_breakdown()
+            extra["metrics"] = None if merged is None else merged.as_dict()
         if faults is not None:
-            payload["fault_profile"] = faults.name
-            payload["fault_summary"] = {
-                "n_faulted": report.n_faulted,
-                "n_failed_requests": report.n_failed_requests,
-                "fault_penalty_seconds": report.fault_penalty_seconds,
-            }
+            extra["fault_profile"] = faults.name
+            extra["fault_summary"] = report.fault_summary()
         if tier is not None:
-            payload["tier"] = tier.name
-            payload["tier_summary"] = {
-                "n_tiered_jobs": len(report.tiered_results),
-                "hit_rate": report.tier_hit_rate,
-                "hdd_offload": report.tier_hdd_offload,
-                "flushed_bytes": report.tier_flushed_bytes,
-                "migrated_chunks": report.tier_migrated_chunks,
-            }
-        with open(args.json, "w") as fh:
-            json.dump(payload, fh, indent=2)
-        print(
-            f"wrote {len(report.results)} job results "
-            f"({len(report.failures)} failures) to {args.json}"
-        )
+            extra["tier"] = tier.name
+            extra["tier_summary"] = report.tier_summary()
+        _write_suite_json(args.json, report, "job", extra)
     return 1 if report.failures else 0
 
 
 def _cmd_fleet(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.core.runner import ExperimentRunner, shard_jobs
-    from repro.errors import SuiteError
+    from repro.core.runner import shard_jobs
     from repro.fleet import (
         FleetSpec,
         build_fleet_plan,
@@ -734,41 +722,12 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         interference=args.interference,
     )
     plan = build_fleet_plan(spec)
-    chaos = None
-    if args.chaos != "off":
-        from repro.core.chaos import get_chaos_policy
-
-        chaos = get_chaos_policy(args.chaos, seed=args.chaos_seed)
-    runner = ExperimentRunner(
-        workers=args.workers,
-        max_retries=args.max_retries,
-        on_error="collect" if args.keep_going else "raise",
-        chaos=chaos,
-    )
-    journal = None
-    if args.resume and not args.journal:
-        raise CliError("--resume requires --journal PATH")
-    if args.journal:
-        from repro.core.journal import SuiteJournal
-
-        shards = shard_jobs(plan.jobs, args.shard_size)
-        journal = SuiteJournal.open(args.journal, shards, resume=args.resume)
-        if journal.resumed and journal.n_completed:
-            print(
-                f"(resuming from journal {args.journal}: "
-                f"{journal.n_completed} of {len(shards)} shards already "
-                "recorded, skipping them)"
-            )
-    try:
-        report = runner.run_sharded(
+    report, journal = _execute_suite(
+        args, shard_jobs(plan.jobs, args.shard_size), "shard",
+        lambda runner, journal: runner.run_sharded(
             plan.jobs, shard_size=args.shard_size, journal=journal
-        )
-    except SuiteError as exc:
-        report = exc.report
-        print(f"error: {exc}", file=sys.stderr)
-    finally:
-        if journal is not None:
-            journal.close()
+        ),
+    )
 
     label_to_drive = {
         job.label: drive_index
@@ -844,24 +803,9 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             f"{len(scrub_plan.allocations)} drives, "
             f"{scrub_plan.completion_fraction:.1%} of the scrub workload covered)"
         )
-    if report.failures:
-        print()
-        print(_failure_table(report).render())
-    if report.resilience:
-        resilience = Table(
-            ["event", "count"],
-            title="resilience: what the crash/chaos machinery absorbed",
-        )
-        for name, count in sorted(report.resilience.items()):
-            resilience.add_row([name, count])
-        print(resilience.render())
-    if journal is not None:
-        print(
-            f"(journal {args.journal}: {journal.n_recorded} shard(s) recorded "
-            f"this run, {journal.n_completed} durable)"
-        )
+    _print_suite_tail(args, report, journal, "shard")
     if args.json:
-        payload = {
+        extra = {
             "schema_version": 1,
             "fleet": {
                 "n_drives": args.drives,
@@ -881,26 +825,13 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
                 ],
                 "assignments": plan.placement.as_dict()["assignments"],
             },
-            "jobs": [r.as_dict() for r in report.results],
-            "failures": [f.as_dict() for f in report.failures],
-            "n_jobs": report.n_jobs,
-            "workers": report.workers,
-            "retries": report.retries,
-            "wall_seconds": report.wall_seconds,
             "fleet_summary": summary,
         }
         if interference_payload:
-            payload["interference"] = interference_payload
+            extra["interference"] = interference_payload
         if scrub_plan is not None:
-            payload["scrub_plan"] = scrub_plan.as_dict()
-        if report.resilience:
-            payload["resilience"] = dict(report.resilience)
-        with open(args.json, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-        print(
-            f"wrote {len(report.results)} drive results "
-            f"({len(report.failures)} failures) to {args.json}"
-        )
+            extra["scrub_plan"] = scrub_plan.as_dict()
+        _write_suite_json(args.json, report, "drive", extra)
     return 1 if report.failures else 0
 
 
@@ -982,6 +913,49 @@ def build_parser() -> argparse.ArgumentParser:
             help="dump the event trace as JSONL to PATH (implies --obs trace)",
         )
 
+    def add_suite(p: argparse.ArgumentParser) -> None:
+        """The runner, journal and chaos flags of every suite command."""
+        p.add_argument("--queue-depth", type=int, default=None)
+        p.add_argument(
+            "--workers", type=int, default=None,
+            help="worker processes (default: one per CPU; 1 = run inline)",
+        )
+        p.add_argument(
+            "--max-retries", type=int, default=0,
+            help="extra attempts per failing job (default 0)",
+        )
+        p.add_argument(
+            "--keep-going", action="store_true",
+            help="run every job even if some fail; report failures at the end "
+            "(default: stop submitting after the first failure)",
+        )
+        p.add_argument(
+            "--journal", default=None, metavar="PATH",
+            help="durable checkpoint journal (append-only JSONL WAL): every "
+            "completed job or shard is fsync'd so a crashed run can resume",
+        )
+        p.add_argument(
+            "--resume", action="store_true",
+            help="resume from an existing --journal: skip what it records and "
+            "merge the recorded results (requires --journal)",
+        )
+        p.add_argument(
+            "--chaos", default="off",
+            choices=["off", "light", "moderate", "heavy"],
+            help="inject seeded worker faults (kills/stalls/delays/shm "
+            "failures) while the suite runs (default: off; results stay "
+            "bit-identical)",
+        )
+        p.add_argument(
+            "--chaos-seed", type=int, default=0,
+            help="seed of the chaos policy's fault schedule (default 0)",
+        )
+        p.add_argument("--json", default=None, help="also write results as JSON")
+        add_drive(p)
+        add_faults(p)
+        add_tier(p)
+        add_obs(p)
+
     p = sub.add_parser("profiles", help="list built-in workload profiles")
     p.set_defaults(func=_cmd_profiles)
 
@@ -1010,13 +984,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze-ms", help="analyze a millisecond trace file")
     p.add_argument("trace")
-    p.add_argument("--scheduler", default="fcfs", choices=["fcfs", "sstf", "scan"])
+    p.add_argument("--scheduler", default="fcfs", choices=SCHEDULERS)
     add_format(p)
     add_drive(p)
     add_faults(p)
     add_tier(p)
     add_obs(p)
-    p.set_defaults(func=_cmd_analyze_ms)
+    p.set_defaults(func=_cmd_study, profile=None)
 
     p = sub.add_parser(
         "ingest",
@@ -1064,7 +1038,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--span", type=float, default=300.0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--scheduler", default="fcfs", choices=["fcfs", "sstf", "scan"])
+    p.add_argument("--scheduler", default="fcfs", choices=SCHEDULERS)
     add_format(p)
     add_drive(p)
     add_faults(p)
@@ -1095,10 +1069,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="quarantine-drop corrupt rows when loading --trace files "
         "(default: strict)",
     )
-    p.add_argument(
-        "--schedulers", nargs="+", default=["fcfs"],
-        choices=["fcfs", "sstf", "scan"],
-    )
+    p.add_argument("--schedulers", nargs="+", default=["fcfs"], choices=SCHEDULERS)
     p.add_argument("--span", type=float, default=300.0)
     p.add_argument(
         "--seeds", type=int, default=1,
@@ -1108,43 +1079,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--base-seed", type=int, default=0,
         help="root of the deterministic per-job seed stream",
     )
-    p.add_argument("--queue-depth", type=int, default=None)
-    p.add_argument(
-        "--workers", type=int, default=None,
-        help="worker processes (default: one per CPU; 1 = run inline)",
-    )
-    p.add_argument(
-        "--max-retries", type=int, default=0,
-        help="extra attempts per failing job (default 0)",
-    )
     p.add_argument(
         "--job-timeout", type=float, default=None,
         help="per-job wall-clock budget in seconds (default: none)",
-    )
-    p.add_argument(
-        "--keep-going", action="store_true",
-        help="run every job even if some fail; report failures at the end "
-        "(default: stop submitting after the first failure)",
-    )
-    p.add_argument(
-        "--journal", default=None, metavar="PATH",
-        help="durable checkpoint journal (append-only JSONL WAL): every "
-        "completed job is fsync'd so a crashed suite can resume",
-    )
-    p.add_argument(
-        "--resume", action="store_true",
-        help="resume from an existing --journal: skip journaled jobs and "
-        "merge their recorded results (requires --journal)",
-    )
-    p.add_argument(
-        "--chaos", default="off",
-        choices=["off", "light", "moderate", "heavy"],
-        help="inject seeded worker faults (kills/stalls/delays/shm "
-        "failures) while the suite runs (default: off)",
-    )
-    p.add_argument(
-        "--chaos-seed", type=int, default=0,
-        help="seed of the chaos policy's fault schedule (default 0)",
     )
     p.add_argument(
         "--suite-deadline", type=float, default=None,
@@ -1156,11 +1093,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="recycle any worker whose resident set exceeds this many MiB "
         "(default: no watchdog)",
     )
-    p.add_argument("--json", default=None, help="also write results as JSON")
-    add_drive(p)
-    add_faults(p)
-    add_tier(p)
-    add_obs(p)
+    add_suite(p)
     p.set_defaults(func=_cmd_run_suite)
 
     p = sub.add_parser("calibrate", help="fit a synthetic profile to a trace file")
@@ -1207,7 +1140,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--shard-size", type=int, default=4,
         help="drives per dispatch shard; never affects results, only "
-        "batching (default 4)",
+        "batching, but a --journal resumes only at the same size (default 4)",
     )
     p.add_argument(
         "--tenant-profiles", nargs="+", default=list(DEFAULT_TENANT_PROFILES),
@@ -1216,10 +1149,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--span", type=float, default=60.0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--scheduler", default="fcfs", choices=["fcfs", "sstf", "scan"],
-    )
-    p.add_argument("--queue-depth", type=int, default=None)
+    p.add_argument("--scheduler", default="fcfs", choices=SCHEDULERS)
     p.add_argument(
         "--min-rate", type=float, default=0.5,
         help="clip tenant request rates below this req/s (default 0.5)",
@@ -1227,19 +1157,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--max-rate", type=float, default=2000.0,
         help="clip tenant request rates above this req/s (default 2000)",
-    )
-    p.add_argument(
-        "--workers", type=int, default=None,
-        help="worker processes (default: one per CPU; 1 = run inline)",
-    )
-    p.add_argument(
-        "--max-retries", type=int, default=0,
-        help="extra attempts per failing job (default 0)",
-    )
-    p.add_argument(
-        "--keep-going", action="store_true",
-        help="run every drive even if some fail (default: stop after the "
-        "first failure)",
     )
     p.add_argument(
         "--interference", action="store_true",
@@ -1255,30 +1172,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--scrub-work", type=float, default=60.0, metavar="SECONDS",
         help="scrub workload per drive in seconds (default 60)",
     )
-    p.add_argument(
-        "--journal", default=None, metavar="PATH",
-        help="durable checkpoint journal over the dispatch shards; resume "
-        "requires the same --shard-size",
-    )
-    p.add_argument(
-        "--resume", action="store_true",
-        help="resume from an existing --journal (skip recorded shards)",
-    )
-    p.add_argument(
-        "--chaos", default="off",
-        choices=["off", "light", "moderate", "heavy"],
-        help="inject seeded worker faults while the fleet runs "
-        "(default: off; results stay bit-identical)",
-    )
-    p.add_argument(
-        "--chaos-seed", type=int, default=0,
-        help="seed of the chaos policy's fault schedule (default 0)",
-    )
-    p.add_argument("--json", default=None, help="also write results as JSON")
-    add_drive(p)
-    add_faults(p)
-    add_tier(p)
-    add_obs(p)
+    add_suite(p)
     p.set_defaults(func=_cmd_fleet)
 
     p = sub.add_parser(

@@ -151,7 +151,9 @@ def run_in_idle(
         if n_run <= 0:
             continue
         resumptions += 1
-        setup_spent += task.setup_seconds
+        # Multiply rather than accumulate: summing setup_seconds drifts
+        # off resumptions * setup_seconds in the last bits.
+        setup_spent = resumptions * task.setup_seconds
         work_here = min(n_run * task.chunk_seconds, remaining)
         completed += work_here
         remaining -= work_here

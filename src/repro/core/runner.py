@@ -708,6 +708,24 @@ class SuiteReport:
             merged = shard if merged is None else merged.merge(shard)
         return merged
 
+    def fault_summary(self) -> Dict[str, Any]:
+        """Suite-wide fault totals (the ``fault_summary`` JSON block)."""
+        return {
+            "n_faulted": self.n_faulted,
+            "n_failed_requests": self.n_failed_requests,
+            "fault_penalty_seconds": self.fault_penalty_seconds,
+        }
+
+    def tier_summary(self) -> Dict[str, Any]:
+        """Suite-wide tier totals (the ``tier_summary`` JSON block)."""
+        return {
+            "n_tiered_jobs": len(self.tiered_results),
+            "hit_rate": self.tier_hit_rate,
+            "hdd_offload": self.tier_hdd_offload,
+            "flushed_bytes": self.tier_flushed_bytes,
+            "migrated_chunks": self.tier_migrated_chunks,
+        }
+
     def as_dict(self) -> Dict[str, Any]:
         payload = {
             "n_jobs": self.n_jobs,
@@ -716,22 +734,12 @@ class SuiteReport:
             "wall_seconds": self.wall_seconds,
             "results": [r.as_dict() for r in self.results],
             "failures": [f.as_dict() for f in self.failures],
-            "fault_summary": {
-                "n_faulted": self.n_faulted,
-                "n_failed_requests": self.n_failed_requests,
-                "fault_penalty_seconds": self.fault_penalty_seconds,
-            },
+            "fault_summary": self.fault_summary(),
         }
         # Only when some job actually ran tiered — untiered suites
         # serialize exactly as they did before the tier existed.
         if self.tiered_results:
-            payload["tier_summary"] = {
-                "n_tiered_jobs": len(self.tiered_results),
-                "hit_rate": self.tier_hit_rate,
-                "hdd_offload": self.tier_hdd_offload,
-                "flushed_bytes": self.tier_flushed_bytes,
-                "migrated_chunks": self.tier_migrated_chunks,
-            }
+            payload["tier_summary"] = self.tier_summary()
         # Only when some job carried tenants — single-workload suites
         # serialize exactly as they did before the fleet existed.
         if self.tenant_results:
@@ -1808,8 +1816,19 @@ class ExperimentRunner:
                     resolve(i, outcome, n_attempts)
                     if isinstance(outcome, JobFailure) and self.on_error == "raise":
                         stop_submitting = True
-                if not resolved and busy:
+                if resolved:
+                    continue
+                if busy:
                     sleep(self.poll_interval)
+                elif queue and not stop_submitting:
+                    # Nothing in flight and every queued job is backing
+                    # off: sleep until the earliest retry, not a spin.
+                    # (Once a failure has stopped submission, a requeued
+                    # job will never run, so the loop exits unslept.)
+                    wake = min(retry_at.get(i, 0.0) for i in queue)
+                    if deadline_at is not None:
+                        wake = min(wake, deadline_at)
+                    sleep(max(0.0, wake - perf_counter()))
         finally:
             for entry in busy.values():
                 if entry.resume_at is not None:

@@ -185,3 +185,100 @@ def test_parser_requires_subcommand():
 def test_parser_rejects_unknown_drive():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["study", "--profile", "web", "--drive", "floppy"])
+
+
+# run-suite and fleet share one runner/journal path; each case names the
+# command's argv, its checkpoint unit, and how many units it journals.
+SUITE_COMMANDS = {
+    "run-suite": (
+        ["run-suite", "--profiles", "web", "database", "--span", "5",
+         "--workers", "1"],
+        "job", 2,
+    ),
+    "fleet": (
+        ["fleet", "--tenants", "4", "--drives", "3", "--span", "3",
+         "--workers", "1", "--shard-size", "2"],
+        "shard", 2,
+    ),
+}
+
+SHARED_SUITE_FLAGS = {
+    "--queue-depth", "--workers", "--max-retries", "--keep-going",
+    "--journal", "--resume", "--chaos", "--chaos-seed", "--json",
+    "--drive", "--fault-profile", "--tier", "--tier-policy", "--obs",
+    "--trace-events",
+}
+RUN_SUITE_LIMITS = {"--job-timeout", "--suite-deadline", "--rss-limit-mb"}
+
+
+def _option_strings(command):
+    parser = build_parser()
+    (subparsers,) = [
+        action for action in parser._subparsers._group_actions
+        if hasattr(action, "choices")
+    ]
+    return {
+        option
+        for action in subparsers.choices[command]._actions
+        for option in action.option_strings
+    }
+
+
+def _canonical(payload):
+    """The payload minus run-to-run volatile fields."""
+    volatile = {"wall_seconds", "replay_rate", "resilience"}
+    if isinstance(payload, dict):
+        return {k: _canonical(v) for k, v in payload.items() if k not in volatile}
+    if isinstance(payload, list):
+        return [_canonical(v) for v in payload]
+    return payload
+
+
+@pytest.mark.parametrize("command", sorted(SUITE_COMMANDS))
+def test_suite_journal_resume_replays_nothing(command, tmp_path, capsys):
+    import json
+
+    argv, unit, n_units = SUITE_COMMANDS[command]
+    journal = str(tmp_path / "journal.jsonl")
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    code, out, _ = run(capsys, *argv, "--journal", journal, "--json", str(first))
+    assert code == 0
+    assert f"{n_units} {unit}(s) recorded this run, {n_units} of {n_units}" in out
+
+    code, out, _ = run(
+        capsys, *argv, "--journal", journal, "--resume", "--json", str(second)
+    )
+    assert code == 0
+    assert (
+        f"(resuming from journal {journal}: {n_units} of {n_units} {unit}s "
+        "already recorded, skipping them)"
+    ) in out
+    assert f"0 {unit}(s) recorded this run, {n_units} of {n_units}" in out
+    resumed = json.loads(second.read_text())
+    assert resumed["resilience"]["journal.resumed_jobs"] == n_units
+    assert _canonical(resumed) == _canonical(json.loads(first.read_text()))
+
+
+@pytest.mark.parametrize("command", sorted(SUITE_COMMANDS))
+def test_suite_resume_requires_journal(command, capsys):
+    argv, _, _ = SUITE_COMMANDS[command]
+    code, _, err = run(capsys, *argv, "--resume")
+    assert code == 2
+    assert "--resume requires --journal PATH" in err
+
+
+def test_suite_commands_share_one_flag_set():
+    run_suite, fleet = _option_strings("run-suite"), _option_strings("fleet")
+    assert SHARED_SUITE_FLAGS <= run_suite and SHARED_SUITE_FLAGS <= fleet
+    assert RUN_SUITE_LIMITS <= run_suite
+    assert not RUN_SUITE_LIMITS & fleet
+
+
+def test_analyze_ms_is_study_over_a_trace(tmp_path, capsys):
+    trace_path = tmp_path / "t.csv"
+    run(capsys, "synth-ms", "--profile", "web", "--span", "10", "-o", str(trace_path))
+    flags = ["--scheduler", "sstf", "--fault-profile", "light", "--tier", "wt"]
+    code_a, analyzed, _ = run(capsys, "analyze-ms", str(trace_path), *flags)
+    code_s, studied, _ = run(capsys, "study", "--trace", str(trace_path), *flags)
+    assert code_a == code_s == 0
+    assert analyzed == studied

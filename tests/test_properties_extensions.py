@@ -1,7 +1,7 @@
 """Property-based tests for the extension modules (hypothesis)."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.disk.array import StripedArray, MirroredPair
@@ -92,6 +92,8 @@ def test_spin_down_energy_bounded(intervals, timeout):
     st.floats(0.01, 5.0),
     st.floats(0.0, 0.5),
 )
+# Six equal idle gaps: summing 0.01 six times drifts to 0.060000000000000005.
+@example([(8.0 * i, 8.0 * i + 1.0) for i in range(6)], 100.0, 1.0, 0.01)
 def test_background_work_never_exceeds_idle_or_total(intervals, work, chunk, setup):
     timeline = BusyIdleTimeline(intervals, span=SPAN)
     task = BackgroundTask("t", total_work=work, chunk_seconds=chunk, setup_seconds=setup)

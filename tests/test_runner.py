@@ -55,6 +55,16 @@ def flaky_once_job_fn(job):
     return run_job(job)
 
 
+def crash_once_job_fn(job):
+    """SIGKILL the worker on each job's first attempt (one marker file
+    per seed under ``REPRO_TEST_CRASH_DIR``), simulate on the retry."""
+    marker = Path(os.environ["REPRO_TEST_CRASH_DIR"]) / f"seed-{job.seed}"
+    if not marker.exists():
+        marker.write_text("crashed")
+        os.kill(os.getpid(), signal.SIGKILL)
+    return run_job(job)
+
+
 def napping_job_fn(job):
     time.sleep(0.2)
     return run_job(job)
@@ -261,6 +271,23 @@ class TestFailurePaths:
         assert [r.seed for r in report.results] == [
             j.seed for j in jobs if j.seed not in KILLED_SEEDS
         ]
+
+    def test_backoff_wait_does_not_spin(self, seeded_jobs, tmp_path, monkeypatch):
+        """With every job backing off and nothing in flight, the parent
+        sleeps until the earliest retry instead of polling at full CPU."""
+        from repro.core.backoff import BackoffPolicy
+
+        monkeypatch.setenv("REPRO_TEST_CRASH_DIR", str(tmp_path))
+        runner = ExperimentRunner(
+            workers=2, max_retries=1,
+            retry_backoff=BackoffPolicy(base=1.0, jitter=0.0),
+        )
+        wall, cpu = time.perf_counter(), time.process_time()
+        report = runner.run_suite(seeded_jobs[:2], job_fn=crash_once_job_fn)
+        wall, cpu = time.perf_counter() - wall, time.process_time() - cpu
+        assert report.ok and report.retries == 2
+        assert wall >= 1.0
+        assert cpu < 0.25 * wall, f"parent used {cpu:.2f} s CPU in {wall:.2f} s"
 
     def test_raise_policy_stops_and_attaches_report(self, seeded_jobs):
         runner = ExperimentRunner(workers=1)
