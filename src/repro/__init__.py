@@ -25,56 +25,36 @@ Quickstart::
     print(study.utilization.overall, study.burstiness.hurst_variance)
 """
 
-from repro.core import (
-    BurstinessAnalysis,
-    BusynessAnalysis,
-    CrossScaleStudy,
-    FamilyAnalysis,
-    HourScaleAnalysis,
-    IdlenessAnalysis,
-    MillisecondStudy,
-    TrafficDynamics,
-    UtilizationAnalysis,
-    WorkloadSummary,
-    analyze_burstiness,
-    analyze_busyness,
-    analyze_family,
-    analyze_hour_scale,
-    analyze_idleness,
-    analyze_traffic,
-    analyze_utilization,
-    run_millisecond_study,
-    summarize_trace,
-)
-from repro.disk import (
-    BusyIdleTimeline,
-    DiskDrive,
-    DiskSimulator,
-    DriveSpec,
-    SimulationResult,
-    cheetah_10k,
-    cheetah_15k,
-    nearline_7200,
-)
-from repro.errors import ReproError
-from repro.synth import (
-    ArrivalSpec,
-    FamilyModel,
-    HourlyWorkloadModel,
-    WorkloadProfile,
-    available_profiles,
-    get_profile,
-)
-from repro.traces import (
-    DiskRequest,
-    DriveFamilyDataset,
-    HourlyDataset,
-    HourlyTrace,
-    LifetimeRecord,
-    RequestTrace,
-)
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
+
+#: Public names by defining module, imported on first access (PEP 562).
+_EXPORTS = {
+    ".errors": ("ReproError",),
+    ".traces.request": ("DiskRequest",),
+    ".traces.millisecond": ("RequestTrace",),
+    ".traces.hourly": ("HourlyTrace", "HourlyDataset"),
+    ".traces.lifetime": ("LifetimeRecord", "DriveFamilyDataset"),
+    ".synth.workload": ("ArrivalSpec", "WorkloadProfile"),
+    ".synth.profiles": ("available_profiles", "get_profile"),
+    ".synth.hourly": ("HourlyWorkloadModel",),
+    ".synth.family": ("FamilyModel",),
+    ".disk.drive": ("DriveSpec", "DiskDrive", "cheetah_10k", "cheetah_15k", "nearline_7200"),
+    ".disk.simulator": ("DiskSimulator", "SimulationResult"),
+    ".disk.timeline": ("BusyIdleTimeline",),
+    ".core.summary": ("WorkloadSummary", "summarize_trace"),
+    ".core.utilization": ("UtilizationAnalysis", "analyze_utilization"),
+    ".core.idleness": ("IdlenessAnalysis", "analyze_idleness"),
+    ".core.busyness": ("BusynessAnalysis", "analyze_busyness"),
+    ".core.burstiness": ("BurstinessAnalysis", "analyze_burstiness"),
+    ".core.traffic": ("TrafficDynamics", "analyze_traffic"),
+    ".core.hour_analysis": ("HourScaleAnalysis", "analyze_hour_scale"),
+    ".core.lifetime_analysis": ("FamilyAnalysis", "analyze_family"),
+    ".core.timescales": ("CrossScaleStudy", "MillisecondStudy", "run_millisecond_study"),
+}
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
 
 __all__ = [
     "__version__",

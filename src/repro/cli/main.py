@@ -37,18 +37,13 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.core.hour_analysis import analyze_hour_scale, diurnal_peak_ratio
-from repro.core.lifetime_analysis import analyze_family
 from repro.core.report import Table, format_percent, section
-from repro.core.timescales import run_millisecond_study
 from repro.disk.drive import DriveSpec, cheetah_10k, cheetah_15k, nearline_7200
 from repro.disk.faults import available_fault_profiles, get_fault_profile
 from repro.errors import CliError, ReproError
 from repro.obs import OBS_LEVELS, Observer
 from repro.fleet.placement import PLACEMENT_POLICIES
 from repro.fleet.tenant import DEFAULT_TENANT_PROFILES
-from repro.synth.family import FamilyModel
-from repro.synth.hourly import HourlyWorkloadModel
 from repro.synth.profiles import available_profiles, get_profile
 from repro.tier import TIER_MODES, TierConfig, available_heat_policies
 from repro.traces.io import (
@@ -221,6 +216,8 @@ def _cmd_synth_ms(args: argparse.Namespace) -> int:
 
 
 def _cmd_synth_hourly(args: argparse.Namespace) -> int:
+    from repro.synth.hourly import HourlyWorkloadModel
+
     drive = _drive(args.drive)
     model = HourlyWorkloadModel(bandwidth=drive.sustained_bandwidth)
     dataset = model.generate(n_drives=args.drives, weeks=args.weeks, seed=args.seed)
@@ -230,6 +227,8 @@ def _cmd_synth_hourly(args: argparse.Namespace) -> int:
 
 
 def _cmd_synth_family(args: argparse.Namespace) -> int:
+    from repro.synth.family import FamilyModel
+
     drive = _drive(args.drive)
     model = FamilyModel(bandwidth=drive.sustained_bandwidth)
     dataset = model.generate(n_drives=args.drives, seed=args.seed, family=drive.name)
@@ -240,6 +239,7 @@ def _cmd_synth_family(args: argparse.Namespace) -> int:
 
 def _cmd_study(args: argparse.Namespace) -> int:
     from repro.core.dossier import render_study_report
+    from repro.core.timescales import run_millisecond_study
 
     drive = _drive(args.drive)
     if (args.profile is None) == (args.trace is None):
@@ -269,6 +269,7 @@ def _cmd_study(args: argparse.Namespace) -> int:
 
 def _cmd_analyze_hourly(args: argparse.Namespace) -> int:
     from repro.core.dossier import render_hour_report
+    from repro.core.hour_analysis import analyze_hour_scale, diurnal_peak_ratio
 
     dataset = read_hourly_dataset(args.dataset)
     drive = _drive(args.drive)
@@ -279,6 +280,7 @@ def _cmd_analyze_hourly(args: argparse.Namespace) -> int:
 
 def _cmd_analyze_family(args: argparse.Namespace) -> int:
     from repro.core.dossier import render_family_report
+    from repro.core.lifetime_analysis import analyze_family
 
     dataset = read_lifetime_dataset(args.dataset)
     drive = _drive(args.drive)
@@ -395,6 +397,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def _cmd_power(args: argparse.Namespace) -> int:
+    from repro.core.timescales import run_millisecond_study
     from repro.disk.power import PowerProfile, sweep_timeouts
 
     trace = _load_trace(args)
@@ -512,6 +515,23 @@ def _print_suite_tail(args, report, journal, unit: str) -> None:
         )
 
 
+def _write_suite_events(report, path: Optional[str]) -> None:
+    """Write ``--trace-events``: every job's retained events as JSONL,
+    each tagged with its job label."""
+    if not path:
+        return
+    import json
+
+    written = 0
+    with open(path, "w") as fh:
+        for r in report.results:
+            for event in r.trace_events or ():
+                json.dump({**event, "job": r.label}, fh, sort_keys=True)
+                fh.write("\n")
+                written += 1
+    print(f"wrote {written} trace events to {path}")
+
+
 def _write_suite_json(path: str, report, noun: str, extra: dict) -> None:
     """Write a suite's ``--json`` payload: the report keys every suite
     command shares plus the command's own ``extra`` keys."""
@@ -539,8 +559,6 @@ def _write_suite_json(path: str, report, noun: str, extra: dict) -> None:
 
 
 def _cmd_run_suite(args: argparse.Namespace) -> int:
-    import json
-
     from repro.core.runner import ExperimentJob, derive_seeds, experiment_matrix
 
     drive = _drive(args.drive)
@@ -661,15 +679,7 @@ def _cmd_run_suite(args: argparse.Namespace) -> int:
                 f"(suite-wide metrics: {len(merged)} series merged across "
                 f"{len(report.results)} jobs)"
             )
-    if args.trace_events:
-        written = 0
-        with open(args.trace_events, "w") as fh:
-            for r in report.results:
-                for event in r.trace_events or ():
-                    json.dump({**event, "job": r.label}, fh, sort_keys=True)
-                    fh.write("\n")
-                    written += 1
-        print(f"wrote {written} trace events to {args.trace_events}")
+    _write_suite_events(report, args.trace_events)
     if args.json:
         extra = {"drive": drive.name, "span": args.span}
         if obs_level != "off":
@@ -804,6 +814,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             f"{scrub_plan.completion_fraction:.1%} of the scrub workload covered)"
         )
     _print_suite_tail(args, report, journal, "shard")
+    _write_suite_events(report, args.trace_events)
     if args.json:
         extra = {
             "schema_version": 1,

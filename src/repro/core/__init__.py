@@ -20,63 +20,52 @@ paper's questions at each time scale:
   :mod:`repro.core.timescales`
 """
 
-from repro.core.summary import WorkloadSummary, summarize_trace
-from repro.core.utilization import UtilizationAnalysis, analyze_utilization
-from repro.core.idleness import IdlenessAnalysis, analyze_idleness
-from repro.core.busyness import BusynessAnalysis, analyze_busyness
-from repro.core.burstiness import BurstinessAnalysis, analyze_burstiness
-from repro.core.traffic import TrafficDynamics, analyze_traffic
-from repro.core.hour_analysis import HourScaleAnalysis, analyze_hour_scale
-from repro.core.lifetime_analysis import FamilyAnalysis, analyze_family
-from repro.core.timescales import CrossScaleStudy, MillisecondStudy, run_millisecond_study
-from repro.core.background import (
-    BackgroundRunReport,
-    BackgroundTask,
-    ScrubPlan,
-    chunk_size_sweep,
-    plan_media_scrub,
-    run_in_idle,
-    scrub_latent_regions,
-)
-from repro.core.comparison import ComparisonResult, compare_studies, feature_vector
-from repro.core.idleness import chunks_available
-from repro.core.latency import (
-    DegradedTailAnalysis,
-    LatencyAnalysis,
-    TierTailAnalysis,
-    analyze_degraded_tail,
-    analyze_latency,
-    analyze_tier_tail,
-    queue_depth_series,
-    response_ecdf,
-    tail_inflation,
-)
-from repro.core.prediction import IdlePredictor
-from repro.core.dossier import render_family_report, render_hour_report, render_study_report
-from repro.core.spatial_analysis import SpatialAnalysis, analyze_spatial, seek_distance_ecdf, zone_traffic
-from repro.core.streaming import StreamingCharacterizer, characterize_events
-from repro.core.forecast import ForecastScore, flat_mean_forecast, score_forecast, seasonal_ewma_forecast, seasonal_naive_forecast
-from repro.core.anomaly import DriveAnomaly, inject_regime_change, population_anomalies, self_anomalies
-from repro.core.suite import run_suite, suite_table
-from repro.core.backoff import BackoffPolicy, backoff_delays
-from repro.core.chaos import (
-    ChaosPlan,
-    ChaosPolicy,
-    available_chaos_policies,
-    get_chaos_policy,
-)
-from repro.core.journal import SuiteJournal, job_fingerprint, suite_fingerprint
-from repro.core.runner import (
-    ExperimentJob,
-    ExperimentRunner,
-    JobFailure,
-    JobResult,
-    SuiteReport,
-    derive_seeds,
-    experiment_matrix,
-    run_job,
-)
-from repro.core.report import Table, ascii_plot, render_series
+from repro._lazy import lazy_exports
+
+#: Public names by defining module, imported on first access (PEP 562).
+_EXPORTS = {
+    ".summary": ("WorkloadSummary", "summarize_trace"),
+    ".utilization": ("UtilizationAnalysis", "analyze_utilization"),
+    ".idleness": ("IdlenessAnalysis", "analyze_idleness", "chunks_available"),
+    ".busyness": ("BusynessAnalysis", "analyze_busyness"),
+    ".burstiness": ("BurstinessAnalysis", "analyze_burstiness"),
+    ".traffic": ("TrafficDynamics", "analyze_traffic"),
+    ".hour_analysis": ("HourScaleAnalysis", "analyze_hour_scale"),
+    ".lifetime_analysis": ("FamilyAnalysis", "analyze_family"),
+    ".timescales": ("CrossScaleStudy", "MillisecondStudy", "run_millisecond_study"),
+    ".background": (
+        "BackgroundRunReport", "BackgroundTask", "ScrubPlan", "chunk_size_sweep",
+        "plan_media_scrub", "run_in_idle", "scrub_latent_regions",
+    ),
+    ".comparison": ("ComparisonResult", "compare_studies", "feature_vector"),
+    ".latency": (
+        "DegradedTailAnalysis", "LatencyAnalysis", "TierTailAnalysis", "analyze_degraded_tail",
+        "analyze_latency", "analyze_tier_tail", "queue_depth_series", "response_ecdf",
+        "tail_inflation",
+    ),
+    ".prediction": ("IdlePredictor",),
+    ".dossier": ("render_family_report", "render_hour_report", "render_study_report"),
+    ".spatial_analysis": (
+        "SpatialAnalysis", "analyze_spatial", "seek_distance_ecdf", "zone_traffic",
+    ),
+    ".streaming": ("StreamingCharacterizer", "characterize_events"),
+    ".forecast": (
+        "ForecastScore", "flat_mean_forecast", "score_forecast", "seasonal_ewma_forecast",
+        "seasonal_naive_forecast",
+    ),
+    ".anomaly": ("DriveAnomaly", "inject_regime_change", "population_anomalies", "self_anomalies"),
+    ".suite": ("run_suite", "suite_table"),
+    ".backoff": ("BackoffPolicy", "backoff_delays"),
+    ".chaos": ("ChaosPlan", "ChaosPolicy", "available_chaos_policies", "get_chaos_policy"),
+    ".journal": ("SuiteJournal", "job_fingerprint", "suite_fingerprint"),
+    ".runner": (
+        "ExperimentJob", "ExperimentRunner", "JobFailure", "JobResult", "SuiteReport",
+        "derive_seeds", "experiment_matrix", "run_job",
+    ),
+    ".report": ("Table", "ascii_plot", "render_series"),
+}
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
 
 __all__ = [
     "WorkloadSummary",

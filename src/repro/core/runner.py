@@ -51,6 +51,8 @@ import traceback as traceback_module
 from collections import deque
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, fields as dataclass_fields
+from math import inf
+from multiprocessing.connection import wait as connection_wait
 from time import perf_counter, sleep
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -72,6 +74,7 @@ from repro.obs import OBS_LEVELS, MetricsRegistry, Observer
 from repro.synth.workload import WorkloadProfile
 from repro.tier import TierConfig
 from repro.traces.ingest.source import TraceSource
+from repro.traces.shared import inject_attach_failures
 
 #: Version stamp written by :meth:`SuiteReport.to_json`; bump on any
 #: backwards-incompatible change to the serialized layout. (The
@@ -1037,8 +1040,6 @@ def _apply_worker_plan(worker_plan: Optional[Tuple[float, int]]) -> None:
     if delay > 0:
         sleep(delay)
     if shm_failures > 0:
-        from repro.traces.shared import inject_attach_failures
-
         inject_attach_failures(shm_failures)
 
 
@@ -1149,6 +1150,23 @@ class _BusyJob:
         self.stalled = False
         self.resume_at: Optional[float] = None
 
+    def next_event(self, job_timeout: Optional[float]) -> float:
+        """When the parent must next act on this job without hearing
+        from it: its scheduled chaos kill, stall or resume, or its
+        timeout (``inf`` when none is pending)."""
+        times = []
+        if job_timeout is not None:
+            times.append(self.submitted + job_timeout)
+        plan = self.plan
+        if plan is not None:
+            if plan.kill_after is not None and not self.chaos_killed:
+                times.append(self.submitted + plan.kill_after)
+            if plan.stall_after is not None and not self.stalled:
+                times.append(self.submitted + plan.stall_after)
+            if self.resume_at is not None:
+                times.append(self.resume_at)
+        return min(times, default=inf)
+
 
 class ExperimentRunner:
     """Run experiment jobs across processes, results in input order.
@@ -1209,15 +1227,18 @@ class ExperimentRunner:
     Pooled mode runs one long-lived worker process per slot, each driven
     over its own duplex pipe (no ``multiprocessing.Pool``). That makes a
     worker's death observable: a worker killed mid-job (OOM killer,
-    ``SIGKILL``, hard crash) is detected via its exit code, the worker
-    respawned, and the job resubmitted (or reported as a
+    ``SIGKILL``, hard crash) is detected via its process sentinel, the
+    worker respawned, and the job resubmitted (or reported as a
     :class:`JobFailure` with ``error_type="WorkerCrashed"`` once the
     retry budget is spent) instead of hanging the suite forever waiting
     on a result that will never arrive.
-    """
 
-    #: Seconds between polls of outstanding async results in pooled mode.
-    poll_interval = 0.02
+    The parent loop is event-driven, with no poll interval: it blocks in
+    :func:`multiprocessing.connection.wait` on every busy worker's pipe
+    and sentinel, with a timeout at the earliest parent-side deadline (a
+    scheduled chaos kill, stall or resume, a per-job timeout, a backoff
+    ``retry_at`` while a worker is free, or the suite deadline).
+    """
 
     def __init__(
         self,
@@ -1740,13 +1761,11 @@ class ExperimentRunner:
                     outcome: Optional[JobOutcome] = None
                     n_attempts = 1
                     rss = 0
-                    # Check the pipe before the exit code: a worker that
-                    # finished its send and then died still delivered a
-                    # real outcome, which takes precedence over the crash.
-                    has_result = worker.conn.poll()
+                    # Read the exit code before polling the pipe: a worker
+                    # that finished its send and then died still delivered
+                    # a real outcome, which takes precedence over the crash.
                     exited = worker.process.exitcode is not None
-                    if not has_result and exited:
-                        has_result = worker.conn.poll()  # result raced in
+                    has_result = worker.conn.poll()
                     if has_result:
                         # A stalled worker that still replied must not be
                         # parked in the idle pool frozen.
@@ -1818,17 +1837,24 @@ class ExperimentRunner:
                         stop_submitting = True
                 if resolved:
                     continue
-                if busy:
-                    sleep(self.poll_interval)
-                elif queue and not stop_submitting:
-                    # Nothing in flight and every queued job is backing
-                    # off: sleep until the earliest retry, not a spin.
-                    # (Once a failure has stopped submission, a requeued
-                    # job will never run, so the loop exits unslept.)
-                    wake = min(retry_at.get(i, 0.0) for i in queue)
-                    if deadline_at is not None:
-                        wake = min(wake, deadline_at)
-                    sleep(max(0.0, wake - perf_counter()))
+                if not busy and stop_submitting:
+                    break  # only requeued jobs are left, and none will run
+                # Block until a busy worker replies or dies, or until the
+                # next parent-side deadline, whichever comes first.
+                wake = min(
+                    (entry.next_event(self.job_timeout) for entry in busy.values()),
+                    default=inf,
+                )
+                if deadline_at is not None:
+                    wake = min(wake, deadline_at)
+                if idle and queue and not stop_submitting:
+                    # A worker is free and every queued job is backing off.
+                    wake = min(wake, min(retry_at.get(i, 0.0) for i in queue))
+                ready = [entry.worker.conn for entry in busy.values()]
+                ready += [entry.worker.process.sentinel for entry in busy.values()]
+                connection_wait(
+                    ready, None if wake == inf else max(0.0, wake - perf_counter())
+                )
         finally:
             for entry in busy.values():
                 if entry.resume_at is not None:

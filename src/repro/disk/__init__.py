@@ -9,26 +9,30 @@ queueing scheduler, and an event-driven simulator that replays a
 the busy/idle timeline the utilization and idleness analyses consume.
 """
 
-from repro.disk.geometry import DiskGeometry, Zone
-from repro.disk.mechanics import SeekProfile, rotation_time, transfer_time
-from repro.disk.cache import CacheConfig, DiskCache
-from repro.disk.scheduler import FcfsScheduler, SstfScheduler, ScanScheduler, make_scheduler
-from repro.disk.drive import DiskDrive, DriveSpec, cheetah_10k, cheetah_15k, nearline_7200
-from repro.disk.faults import (
-    FaultEvent,
-    FaultModel,
-    FaultProfile,
-    available_fault_profiles,
-    get_fault_profile,
-    light_faults,
-    moderate_faults,
-    severe_faults,
-)
-from repro.disk.simulator import DiskSimulator, SimulationResult
-from repro.disk.timeline import BusyIdleTimeline
-from repro.disk.power import EnergyReport, PowerProfile, baseline_energy, evaluate_spin_down, sweep_timeouts
-from repro.disk.array import MirroredPair, StripedArray, member_imbalance
-from repro.disk.raid5 import Raid5Array, write_amplification
+from repro._lazy import lazy_exports
+
+#: Public names by defining module, imported on first access (PEP 562).
+_EXPORTS = {
+    ".geometry": ("DiskGeometry", "Zone"),
+    ".mechanics": ("SeekProfile", "rotation_time", "transfer_time"),
+    ".cache": ("CacheConfig", "DiskCache"),
+    ".scheduler": ("FcfsScheduler", "SstfScheduler", "ScanScheduler", "make_scheduler"),
+    ".drive": ("DiskDrive", "DriveSpec", "cheetah_10k", "cheetah_15k", "nearline_7200"),
+    ".faults": (
+        "FaultEvent", "FaultModel", "FaultProfile", "available_fault_profiles",
+        "get_fault_profile", "light_faults", "moderate_faults", "severe_faults",
+    ),
+    ".simulator": ("DiskSimulator", "SimulationResult"),
+    ".timeline": ("BusyIdleTimeline",),
+    ".power": (
+        "EnergyReport", "PowerProfile", "baseline_energy", "evaluate_spin_down",
+        "sweep_timeouts",
+    ),
+    ".array": ("MirroredPair", "StripedArray", "member_imbalance"),
+    ".raid5": ("Raid5Array", "write_amplification"),
+}
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
 
 __all__ = [
     "DiskGeometry",

@@ -7,26 +7,21 @@ runner mode, with tenant-level QoS, noisy-neighbor interference and
 fleet-wide scrub budgeting on top.
 """
 
-from repro.fleet.multiplex import (
-    TenantColumns,
-    combine_columns,
-    synthesize_tenant_columns,
-    volume_layout,
-)
-from repro.fleet.placement import (
-    PLACEMENT_POLICIES,
-    FleetPlacement,
-    place_tenants,
-)
-from repro.fleet.qos import interference_report, qos_entry, tenant_qos_from_result
-from repro.fleet.run import FleetPlan, FleetSpec, build_fleet_plan, run_fleet
-from repro.fleet.scrub import FleetScrubPlan, allocate_idle_budget, plan_fleet_scrub
-from repro.fleet.tenant import (
-    DEFAULT_TENANT_PROFILES,
-    TenantLoad,
-    sample_tenants,
-    tenant_from_trace,
-)
+from repro._lazy import lazy_exports
+
+#: Public names by defining module, imported on first access (PEP 562).
+_EXPORTS = {
+    ".multiplex": (
+        "TenantColumns", "combine_columns", "synthesize_tenant_columns", "volume_layout",
+    ),
+    ".placement": ("PLACEMENT_POLICIES", "FleetPlacement", "place_tenants"),
+    ".qos": ("interference_report", "qos_entry", "tenant_qos_from_result"),
+    ".run": ("FleetPlan", "FleetSpec", "build_fleet_plan", "run_fleet"),
+    ".scrub": ("FleetScrubPlan", "allocate_idle_budget", "plan_fleet_scrub"),
+    ".tenant": ("DEFAULT_TENANT_PROFILES", "TenantLoad", "sample_tenants", "tenant_from_trace"),
+}
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
 
 __all__ = [
     "DEFAULT_TENANT_PROFILES",

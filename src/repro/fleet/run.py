@@ -20,6 +20,12 @@ from repro.errors import FleetError
 from repro.fleet.placement import FleetPlacement, place_tenants
 from repro.fleet.tenant import TenantLoad
 
+# ``run_job`` imports the fleet job path on first use. Importing it here
+# as well lets the workers a fleet run forks inherit it instead of each
+# importing its own copy.
+import repro.fleet.multiplex  # noqa: F401
+import repro.fleet.qos  # noqa: F401
+
 
 @dataclass(frozen=True)
 class FleetSpec:

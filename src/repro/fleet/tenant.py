@@ -22,7 +22,6 @@ from typing import Any, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import FleetError
-from repro.synth.calibrate import calibrate_profile
 from repro.synth.family import FamilyModel
 from repro.synth.profiles import get_profile
 from repro.synth.workload import WorkloadProfile
@@ -101,5 +100,7 @@ def tenant_from_trace(trace: Any, tenant_id: str, base_scale: float = 0.01) -> T
     PR 7 calibration loop fits a synthetic profile to it so the tenant
     can be re-synthesized at any span and seed.
     """
+    from repro.synth.calibrate import calibrate_profile
+
     profile = calibrate_profile(trace, name=tenant_id, base_scale=base_scale)
     return TenantLoad(tenant_id, profile=profile)

@@ -8,36 +8,32 @@ maximum-likelihood distribution fits, and inequality measures (Lorenz
 curve, Gini coefficient) for the cross-family variability analyses.
 """
 
-from repro.stats.ecdf import Ecdf
-from repro.stats.histogram import Histogram, log_bin_edges
-from repro.stats.moments import (
-    StreamingMoments,
-    coefficient_of_variation,
-    describe,
-    SampleDescription,
-)
-from repro.stats.autocorr import autocorrelation, integrated_autocorrelation_time
-from repro.stats.dispersion import index_of_dispersion, idc_curve
-from repro.stats.hurst import (
-    hurst_aggregate_variance,
-    hurst_rescaled_range,
-    variance_time_curve,
-)
-from repro.stats.tail import hill_estimator, tail_heaviness_ratio
-from repro.stats.fitting import (
-    ExponentialFit,
-    LognormalFit,
-    ParetoFit,
-    fit_exponential,
-    fit_lognormal,
-    fit_pareto,
-    best_fit,
-)
-from repro.stats.inequality import gini_coefficient, lorenz_curve, top_share
-from repro.stats.queueing import Mg1Prediction, burstiness_penalty, mg1_predict, mg1_predict_from_samples, mg1_vacation_penalty, mg1_with_vacations
-from repro.stats.periodicity import PeriodEstimate, dominant_period, remove_seasonal, seasonal_strength
-from repro.stats.bootstrap import BootstrapInterval, block_bootstrap_ci, bootstrap_ci
-from repro.stats.crosscorr import cross_correlation, peak_lag
+from repro._lazy import lazy_exports
+
+#: Public names by defining module, imported on first access (PEP 562).
+_EXPORTS = {
+    ".ecdf": ("Ecdf",),
+    ".histogram": ("Histogram", "log_bin_edges"),
+    ".moments": ("StreamingMoments", "coefficient_of_variation", "describe", "SampleDescription"),
+    ".autocorr": ("autocorrelation", "integrated_autocorrelation_time"),
+    ".dispersion": ("index_of_dispersion", "idc_curve"),
+    ".hurst": ("hurst_aggregate_variance", "hurst_rescaled_range", "variance_time_curve"),
+    ".tail": ("hill_estimator", "tail_heaviness_ratio"),
+    ".fitting": (
+        "ExponentialFit", "LognormalFit", "ParetoFit", "fit_exponential", "fit_lognormal",
+        "fit_pareto", "best_fit",
+    ),
+    ".inequality": ("gini_coefficient", "lorenz_curve", "top_share"),
+    ".queueing": (
+        "Mg1Prediction", "burstiness_penalty", "mg1_predict", "mg1_predict_from_samples",
+        "mg1_vacation_penalty", "mg1_with_vacations",
+    ),
+    ".periodicity": ("PeriodEstimate", "dominant_period", "remove_seasonal", "seasonal_strength"),
+    ".bootstrap": ("BootstrapInterval", "block_bootstrap_ci", "bootstrap_ci"),
+    ".crosscorr": ("cross_correlation", "peak_lag"),
+}
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
 
 __all__ = [
     "Ecdf",

@@ -19,32 +19,30 @@ paper (and the authors' related published work) reports:
   granularities — :mod:`repro.synth.hourly` and :mod:`repro.synth.family`.
 """
 
-from repro.synth.arrivals import (
-    bmodel_arrivals,
-    mmpp_arrivals,
-    onoff_arrivals,
-    pareto_sample,
-    poisson_arrivals,
-)
-from repro.synth.selfsimilar import arrivals_from_counts, fgn_counts, superposed_onoff_arrivals
-from repro.synth.spatial import SequentialRuns, UniformSpatial, ZipfHotspots
-from repro.synth.sizes import FixedSizes, LognormalSizes, MixtureSizes
-from repro.synth.mix import BernoulliMix, MarkovMix
-from repro.synth.workload import ArrivalSpec, WorkloadProfile
-from repro.synth.profiles import available_profiles, get_profile
-from repro.synth.hourly import HourlyWorkloadModel
-from repro.synth.family import FamilyModel
-from repro.synth.calibrate import (
-    TraceFingerprint,
-    TraceFit,
-    TwinValidation,
-    calibrate_profile,
-    calibration_report,
-    fingerprint,
-    fit_from_trace,
-    validate_twin,
-)
-from repro.synth.diurnal import DiurnalDay, default_day_curve, hourly_from_trace
+from repro._lazy import lazy_exports
+
+#: Public names by defining module, imported on first access (PEP 562).
+_EXPORTS = {
+    ".arrivals": (
+        "bmodel_arrivals", "mmpp_arrivals", "onoff_arrivals", "pareto_sample",
+        "poisson_arrivals",
+    ),
+    ".selfsimilar": ("arrivals_from_counts", "fgn_counts", "superposed_onoff_arrivals"),
+    ".spatial": ("SequentialRuns", "UniformSpatial", "ZipfHotspots"),
+    ".sizes": ("FixedSizes", "LognormalSizes", "MixtureSizes"),
+    ".mix": ("BernoulliMix", "MarkovMix"),
+    ".workload": ("ArrivalSpec", "WorkloadProfile"),
+    ".profiles": ("available_profiles", "get_profile"),
+    ".hourly": ("HourlyWorkloadModel",),
+    ".family": ("FamilyModel",),
+    ".calibrate": (
+        "TraceFingerprint", "TraceFit", "TwinValidation", "calibrate_profile",
+        "calibration_report", "fingerprint", "fit_from_trace", "validate_twin",
+    ),
+    ".diurnal": ("DiurnalDay", "default_day_curve", "hourly_from_trace"),
+}
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
 
 __all__ = [
     "poisson_arrivals",

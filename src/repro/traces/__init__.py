@@ -19,36 +19,30 @@ construction validates, and analysis code can rely on the documented
 invariants (sorted times, non-negative counters, ...).
 """
 
-from repro.traces.request import DiskRequest
-from repro.traces.millisecond import RequestTrace
-from repro.traces.hourly import HourlyTrace, HourlyDataset
-from repro.traces.lifetime import LifetimeRecord, DriveFamilyDataset
-from repro.traces.window import TimeWindow, bin_counts, bin_sums, sliding_windows
-from repro.traces.io import (
-    QuarantinedRow,
-    read_hourly_dataset,
-    read_lifetime_dataset,
-    read_request_trace,
-    write_hourly_dataset,
-    write_lifetime_dataset,
-    write_request_trace,
-)
-from repro.traces.ops import jitter, superpose, thin, time_scale, truncate
-from repro.traces.shared import (
-    InlineTraceSource,
-    SharedTracePublisher,
-    SharedTraceSource,
-    TracePublication,
-    publish_trace,
-    reap_orphaned_segments,
-)
-from repro.traces.collector import CounterLogger, RequestCollector
-from repro.traces.formats import read_msr_trace, read_spc_trace
-from repro.traces.validate import (
-    validate_family,
-    validate_hourly,
-    validate_request_trace,
-)
+from repro._lazy import lazy_exports
+
+#: Public names by defining module, imported on first access (PEP 562).
+_EXPORTS = {
+    ".request": ("DiskRequest",),
+    ".millisecond": ("RequestTrace",),
+    ".hourly": ("HourlyTrace", "HourlyDataset"),
+    ".lifetime": ("LifetimeRecord", "DriveFamilyDataset"),
+    ".window": ("TimeWindow", "bin_counts", "bin_sums", "sliding_windows"),
+    ".io": (
+        "QuarantinedRow", "read_hourly_dataset", "read_lifetime_dataset", "read_request_trace",
+        "write_hourly_dataset", "write_lifetime_dataset", "write_request_trace",
+    ),
+    ".ops": ("jitter", "superpose", "thin", "time_scale", "truncate"),
+    ".shared": (
+        "InlineTraceSource", "SharedTracePublisher", "SharedTraceSource", "TracePublication",
+        "publish_trace", "reap_orphaned_segments",
+    ),
+    ".collector": ("CounterLogger", "RequestCollector"),
+    ".formats": ("read_msr_trace", "read_spc_trace"),
+    ".validate": ("validate_family", "validate_hourly", "validate_request_trace"),
+}
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
 
 __all__ = [
     "DiskRequest",

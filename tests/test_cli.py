@@ -282,3 +282,16 @@ def test_analyze_ms_is_study_over_a_trace(tmp_path, capsys):
     code_s, studied, _ = run(capsys, "study", "--trace", str(trace_path), *flags)
     assert code_a == code_s == 0
     assert analyzed == studied
+
+
+@pytest.mark.parametrize("command", sorted(SUITE_COMMANDS))
+def test_suite_trace_events_dump_every_job(command, tmp_path, capsys):
+    import json
+
+    argv, _, _ = SUITE_COMMANDS[command]
+    path = tmp_path / "events.jsonl"
+    code, out, _ = run(capsys, *argv, "--trace-events", str(path))
+    assert code == 0
+    events = [json.loads(line) for line in path.read_text().splitlines()]
+    assert events and all("job" in event for event in events)
+    assert f"wrote {len(events)} trace events to {path}" in out

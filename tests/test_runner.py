@@ -65,6 +65,15 @@ def crash_once_job_fn(job):
     return run_job(job)
 
 
+def raise_then_crash_job_fn(job):
+    """Seed 0 raises at once; seed 1 SIGKILLs its worker on its first
+    attempt a little later, after that failure has stopped submission."""
+    if job.seed == 0:
+        raise ValueError("injected failure for seed 0")
+    time.sleep(0.5)
+    return crash_once_job_fn(job)
+
+
 def napping_job_fn(job):
     time.sleep(0.2)
     return run_job(job)
@@ -288,6 +297,38 @@ class TestFailurePaths:
         assert report.ok and report.retries == 2
         assert wall >= 1.0
         assert cpu < 0.25 * wall, f"parent used {cpu:.2f} s CPU in {wall:.2f} s"
+
+    def test_pool_loop_never_sleeps_with_a_job_in_flight(
+        self, seeded_jobs, monkeypatch
+    ):
+        """The pooled loop blocks on worker pipes and sentinels: with no
+        failure and no backoff it never sleeps on a poll interval."""
+        import repro.core.runner as runner_module
+
+        def no_sleep(seconds):
+            raise AssertionError(f"runner slept {seconds} s with a job in flight")
+
+        monkeypatch.setattr(runner_module, "sleep", no_sleep)
+        jobs = seeded_jobs[:8]
+        report = ExperimentRunner(workers=2).run_suite(jobs)
+        assert report.ok and report.retries == 0
+        assert [r.seed for r in report.results] == [j.seed for j in jobs]
+
+    def test_requeue_after_submission_stopped_exits(
+        self, seeded_jobs, tmp_path, monkeypatch
+    ):
+        """A crashed job requeued after a failure stopped submission will
+        never run: the pool loop returns instead of waiting on it."""
+        monkeypatch.setenv("REPRO_TEST_CRASH_DIR", str(tmp_path))
+        runner = ExperimentRunner(workers=2, max_retries=1, suite_deadline=30.0)
+        start = time.monotonic()
+        with pytest.raises(SuiteError) as excinfo:
+            runner.run_suite(seeded_jobs[:2], job_fn=raise_then_crash_job_fn)
+        assert time.monotonic() - start < 10.0
+        report = excinfo.value.report
+        assert not report.deadline_exceeded
+        assert [f.index for f in report.failures] == [0]
+        assert report.resilience["suite.resubmissions"] == 1
 
     def test_raise_policy_stops_and_attaches_report(self, seeded_jobs):
         runner = ExperimentRunner(workers=1)
