@@ -1,15 +1,17 @@
 #!/usr/bin/env python
 """Import a public-format trace and run the full characterization.
 
-The library ships importers for the two dominant public block-trace
-formats — SPC (UMass Financial/WebSearch) and MSR Cambridge. This
-example writes a small SPC-format file (standing in for a downloaded
+The ingest registry (``repro.traces.ingest``) parses the common public
+block-trace formats — SPC (UMass Financial/WebSearch), MSR Cambridge,
+blktrace and the Alibaba cloud block traces. This example writes a small SPC-format file (standing in for a downloaded
 trace), imports it, and runs the same pipeline the paper applies:
 summary, utilization, idleness, burstiness.
 
 With a real download the only change is the file path::
 
-    trace = read_spc_trace("Financial1.spc", asu=0, max_requests=500_000)
+    trace = get_parser("spc", asu=0).parse(
+        "Financial1.spc", label="financial1", max_requests=500_000
+    )
 
 Run:  python examples/import_public_trace.py
 """
@@ -21,7 +23,7 @@ import numpy as np
 
 from repro import cheetah_10k, run_millisecond_study
 from repro.core.dossier import render_study_report
-from repro.traces.formats import read_spc_trace
+from repro.traces.ingest import get_parser
 
 
 def write_demo_spc(path: Path, n: int = 5000, seed: int = 3) -> None:
@@ -45,7 +47,7 @@ def main() -> None:
         spc_path = Path(tmp) / "demo.spc"
         write_demo_spc(spc_path)
 
-        trace = read_spc_trace(spc_path, asu=0, label="demo-spc")
+        trace = get_parser("spc", asu=0).parse(spc_path, label="demo-spc")
         print(f"imported {len(trace)} requests spanning "
               f"{trace.span:.0f} s from {spc_path.name}\n")
 

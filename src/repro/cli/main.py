@@ -475,7 +475,8 @@ def _execute_suite(args, units, unit: str, run, **limits):
 
 def _print_suite_tail(args, report, journal, unit: str) -> None:
     """Print what every suite run ends with: failures, retries, the
-    resilience counters, the journal state and a deadline warning."""
+    resilience counters, the journal state, a deadline warning and, with
+    ``--obs``, the per-phase breakdown and merged-metrics line."""
     if report.failures:
         failures = Table(
             ["job", "error", "attempts", "wall_s", "message"],
@@ -513,6 +514,27 @@ def _print_suite_tail(args, report, journal, unit: str) -> None:
             + (" (resume with --journal/--resume)" if journal is not None else ""),
             file=sys.stderr,
         )
+    obs_level = _obs_level_from_args(args)
+    if obs_level != "off":
+        breakdown = report.phase_breakdown()
+        if breakdown:
+            phases = Table(
+                ["phase", "wall_s", "cpu_s", "jobs"],
+                title=f"per-phase breakdown (obs={obs_level})",
+                precision=4,
+            )
+            for name, entry in sorted(breakdown.items()):
+                phases.add_row(
+                    [name, entry["wall_seconds"], entry["cpu_seconds"],
+                     int(entry["jobs"])]
+                )
+            print(phases.render())
+        merged = report.merged_metrics()
+        if merged is not None:
+            print(
+                f"(suite-wide metrics: {len(merged)} series merged across "
+                f"{len(report.results)} jobs)"
+            )
 
 
 def _write_suite_events(report, path: Optional[str]) -> None:
@@ -532,9 +554,10 @@ def _write_suite_events(report, path: Optional[str]) -> None:
     print(f"wrote {written} trace events to {path}")
 
 
-def _write_suite_json(path: str, report, noun: str, extra: dict) -> None:
-    """Write a suite's ``--json`` payload: the report keys every suite
-    command shares plus the command's own ``extra`` keys."""
+def _write_suite_json(args, report, noun: str, extra: dict) -> None:
+    """Write a suite's ``--json`` payload to ``args.json``: the report
+    keys every suite command shares (with ``--obs``, the observability
+    keys too) plus the command's own ``extra`` keys."""
     import json
 
     payload = {
@@ -550,11 +573,17 @@ def _write_suite_json(path: str, report, noun: str, extra: dict) -> None:
         payload["deadline_exceeded"] = True
     if report.resilience:
         payload["resilience"] = dict(report.resilience)
-    with open(path, "w") as fh:
+    obs_level = _obs_level_from_args(args)
+    if obs_level != "off":
+        merged = report.merged_metrics()
+        payload["obs_level"] = obs_level
+        payload["phase_breakdown"] = report.phase_breakdown()
+        payload["metrics"] = None if merged is None else merged.as_dict()
+    with open(args.json, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
     print(
         f"wrote {len(report.results)} {noun} results "
-        f"({len(report.failures)} failures) to {path}"
+        f"({len(report.failures)} failures) to {args.json}"
     )
 
 
@@ -659,41 +688,16 @@ def _cmd_run_suite(args: argparse.Namespace) -> int:
             f"{report.fault_penalty_seconds:.3f} s recovery penalty suite-wide)"
         )
     _print_suite_tail(args, report, journal, "job")
-    if obs_level != "off":
-        breakdown = report.phase_breakdown()
-        if breakdown:
-            phases = Table(
-                ["phase", "wall_s", "cpu_s", "jobs"],
-                title=f"per-phase breakdown (obs={obs_level})",
-                precision=4,
-            )
-            for name, entry in sorted(breakdown.items()):
-                phases.add_row(
-                    [name, entry["wall_seconds"], entry["cpu_seconds"],
-                     int(entry["jobs"])]
-                )
-            print(phases.render())
-        merged = report.merged_metrics()
-        if merged is not None:
-            print(
-                f"(suite-wide metrics: {len(merged)} series merged across "
-                f"{len(report.results)} jobs)"
-            )
     _write_suite_events(report, args.trace_events)
     if args.json:
         extra = {"drive": drive.name, "span": args.span}
-        if obs_level != "off":
-            merged = report.merged_metrics()
-            extra["obs_level"] = obs_level
-            extra["phase_breakdown"] = report.phase_breakdown()
-            extra["metrics"] = None if merged is None else merged.as_dict()
         if faults is not None:
             extra["fault_profile"] = faults.name
             extra["fault_summary"] = report.fault_summary()
         if tier is not None:
             extra["tier"] = tier.name
             extra["tier_summary"] = report.tier_summary()
-        _write_suite_json(args.json, report, "job", extra)
+        _write_suite_json(args, report, "job", extra)
     return 1 if report.failures else 0
 
 
@@ -842,7 +846,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             extra["interference"] = interference_payload
         if scrub_plan is not None:
             extra["scrub_plan"] = scrub_plan.as_dict()
-        _write_suite_json(args.json, report, "drive", extra)
+        _write_suite_json(args, report, "drive", extra)
     return 1 if report.failures else 0
 
 
@@ -953,9 +957,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--chaos", default="off",
             choices=["off", "light", "moderate", "heavy"],
-            help="inject seeded worker faults (kills/stalls/delays/shm "
-            "failures) while the suite runs (default: off; results stay "
-            "bit-identical)",
+            help="inject seeded worker faults (kills/stalls/delays) while "
+            "the suite runs (default: off; results stay bit-identical)",
         )
         p.add_argument(
             "--chaos-seed", type=int, default=0,

@@ -2,23 +2,22 @@
 
 A :class:`ChaosPolicy` is a *seeded recipe* of worker-level faults — the
 failures a fleet actually sees (preempted workers, OOM kills, scheduler
-stalls, exhausted ``/dev/shm``) — that the
-:class:`~repro.core.runner.ExperimentRunner` injects into its own worker
-pool while a suite runs. The point is not to make suites fail: it is to
-*prove they don't*. Property tests and the CI chaos-smoke job run real
-suites under sustained chaos and assert the merged
-:class:`~repro.core.runner.SuiteReport` is identical (canonically, see
+stalls) — that the :class:`~repro.core.runner.ExperimentRunner`
+injects into its own worker pool while a suite runs. The point is not
+to make suites fail: it is to *prove they don't*. Property tests and
+the CI chaos-smoke job run real suites under sustained chaos and assert
+the merged :class:`~repro.core.runner.SuiteReport` is identical (canonically, see
 :meth:`~repro.core.runner.SuiteReport.canonical_json`) to an
 uninterrupted clean run — retries, worker respawns and the durable
 journal doing the repair work.
 
 Every decision is drawn from ``default_rng([seed, job_index, attempt,
 salt])``, so a policy is a pure function of ``(seed, job, attempt)``:
-the same suite under the same policy injects the same kills, stalls,
-delays and attach failures no matter how many workers run it or how the
-previous faults landed.
+the same suite under the same policy injects the same kills, stalls
+and delays no matter how many workers run it or how the previous faults
+landed.
 
-Four fault legs:
+Three fault legs:
 
 * **kill** — SIGKILL the worker mid-job (parent-side). The runner
   detects the crash, respawns the worker and resubmits the job; kills
@@ -30,10 +29,6 @@ Four fault legs:
   (parent-side). The per-job timeout clock is credited for the stall so
   a stalled-but-healthy job is not misclassified as hung.
 * **delay** — the worker sleeps before starting the job (worker-side).
-* **shm attach failure** — the worker's next shared-memory trace attach
-  raises (worker-side, via
-  :func:`repro.traces.shared.inject_attach_failures`); the in-worker
-  retry ladder must absorb it.
 """
 
 from __future__ import annotations
@@ -50,7 +45,6 @@ from repro.errors import ChaosError
 _KILL_SALT = 0x6B696C6C
 _STALL_SALT = 0x7374616C
 _DELAY_SALT = 0x64656C61
-_SHM_SALT = 0x73686D66
 
 
 @dataclass(frozen=True)
@@ -58,15 +52,15 @@ class ChaosPlan:
     """The injections one ``(job, attempt)`` submission will suffer.
 
     Parent-side legs (``kill_after``, ``stall_after``) are seconds after
-    submission, ``None`` when the leg did not fire; worker-side legs
-    travel to the worker inside the job message. Frozen and picklable.
+    submission, ``None`` when the leg did not fire; the worker-side
+    ``delay`` travels to the worker inside the job message. Frozen and
+    picklable.
     """
 
     kill_after: Optional[float] = None
     stall_after: Optional[float] = None
     stall_seconds: float = 0.0
     delay: float = 0.0
-    shm_failures: int = 0
 
     @property
     def any(self) -> bool:
@@ -74,7 +68,6 @@ class ChaosPlan:
             self.kill_after is not None
             or self.stall_after is not None
             or self.delay > 0.0
-            or self.shm_failures > 0
         )
 
 
@@ -84,6 +77,12 @@ class ChaosPolicy:
 
     Probabilities are per job submission (so a resubmitted job faces
     fresh, independent draws); durations are seconds.
+
+    Injected kills are the runner's own doing, so they are exempt from
+    both the retry budget (up to :attr:`max_faults_per_job`) and the
+    backoff ladder: the runner resubmits an injected kill after at most
+    ``retry_backoff.base`` seconds. Only real crashes and timeouts (and
+    kills beyond the cap) consume ``max_retries`` and lengthen the wait.
     """
 
     name: str = "custom"
@@ -94,13 +93,12 @@ class ChaosPolicy:
     stall_seconds: float = 0.2
     delay_prob: float = 0.0
     delay_seconds: float = 0.05
-    shm_fail_prob: float = 0.0
     #: Free (budget-exempt) injected faults per job before further
     #: crashes start consuming the normal retry budget.
     max_faults_per_job: int = 16
 
     def __post_init__(self) -> None:
-        for field_name in ("kill_prob", "stall_prob", "delay_prob", "shm_fail_prob"):
+        for field_name in ("kill_prob", "stall_prob", "delay_prob"):
             value = getattr(self, field_name)
             if not 0.0 <= value <= 1.0:
                 raise ChaosError(
@@ -120,11 +118,7 @@ class ChaosPolicy:
     def active(self) -> bool:
         """True when at least one fault leg can fire."""
         return any(
-            p > 0.0
-            for p in (
-                self.kill_prob, self.stall_prob,
-                self.delay_prob, self.shm_fail_prob,
-            )
+            p > 0.0 for p in (self.kill_prob, self.stall_prob, self.delay_prob)
         )
 
     def _draw(self, index: int, attempt: int, salt: int) -> float:
@@ -154,18 +148,11 @@ class ChaosPolicy:
             and self._draw(index, attempt, _DELAY_SALT) < self.delay_prob
             else 0.0
         )
-        shm_failures = (
-            1
-            if self.shm_fail_prob > 0.0
-            and self._draw(index, attempt, _SHM_SALT) < self.shm_fail_prob
-            else 0
-        )
         return ChaosPlan(
             kill_after=kill_after,
             stall_after=stall_after,
             stall_seconds=self.stall_seconds if stall_after is not None else 0.0,
             delay=delay,
-            shm_failures=shm_failures,
         )
 
 
@@ -177,17 +164,17 @@ _PRESETS: Dict[str, ChaosPolicy] = {
     "light": _preset(
         "light",
         kill_prob=0.10, stall_prob=0.10, stall_seconds=0.1,
-        delay_prob=0.25, delay_seconds=0.02, shm_fail_prob=0.05,
+        delay_prob=0.25, delay_seconds=0.02,
     ),
     "moderate": _preset(
         "moderate",
         kill_prob=0.25, stall_prob=0.20, stall_seconds=0.15,
-        delay_prob=0.40, delay_seconds=0.05, shm_fail_prob=0.15,
+        delay_prob=0.40, delay_seconds=0.05,
     ),
     "heavy": _preset(
         "heavy",
         kill_prob=0.45, kill_delay=0.02, stall_prob=0.30, stall_seconds=0.2,
-        delay_prob=0.60, delay_seconds=0.08, shm_fail_prob=0.30,
+        delay_prob=0.60, delay_seconds=0.08,
     ),
 }
 

@@ -52,11 +52,6 @@ from repro.errors import JournalError
 #: Bump on any backwards-incompatible change to the journal layout.
 JOURNAL_SCHEMA_VERSION = 1
 
-#: Job fields whose values are volatile across runs and excluded from
-#: the fingerprint: a republished shared-memory segment gets a fresh
-#: kernel name, but it is the same job.
-_VOLATILE_JOB_KEYS = frozenset({"shm_name"})
-
 
 def _fingerprint_payload(value: Any) -> Any:
     """A JSON-able, deterministic rendering of one job-spec value."""
@@ -66,7 +61,6 @@ def _fingerprint_payload(value: Any) -> Any:
             **{
                 f.name: _fingerprint_payload(getattr(value, f.name))
                 for f in dataclass_fields(value)
-                if f.name not in _VOLATILE_JOB_KEYS
             },
         }
     if isinstance(value, np.ndarray):

@@ -31,8 +31,8 @@ produces, so the runner carries a resilience layer:
   shared :class:`~repro.core.backoff.BackoffPolicy` spacing attempts.
 * **Chaos injection** — a seeded
   :class:`~repro.core.chaos.ChaosPolicy` makes the runner torture its
-  own pool (kills, stalls, delays, shared-memory attach failures);
-  chaos-injected kills do not consume the retry budget.
+  own pool (kills, stalls, delays); chaos-injected kills consume
+  neither the retry budget nor the backoff ladder.
 * **Resource guards** — a per-worker RSS watchdog recycles bloated
   workers, and ``suite_deadline`` returns a partial-but-valid (and,
   with a journal, resumable) report instead of overrunning.
@@ -74,7 +74,6 @@ from repro.obs import OBS_LEVELS, MetricsRegistry, Observer
 from repro.synth.workload import WorkloadProfile
 from repro.tier import TierConfig
 from repro.traces.ingest.source import TraceSource
-from repro.traces.shared import inject_attach_failures
 
 #: Version stamp written by :meth:`SuiteReport.to_json`; bump on any
 #: backwards-incompatible change to the serialized layout. (The
@@ -142,10 +141,7 @@ class ExperimentJob:
         however large the capture is. Any object with ``load()`` and
         ``label`` works — a
         :class:`~repro.traces.ingest.source.TraceSource` re-reads a
-        file per worker, a
-        :class:`~repro.traces.shared.SharedTraceSource` attaches the
-        publisher's shared-memory columns without pickling or re-parsing
-        a byte of request payload. Trace jobs ignore ``span`` (the
+        file per worker. Trace jobs ignore ``span`` (the
         capture's own span rules) and use ``seed`` only for the drive
         RNG.
     tenants:
@@ -1031,24 +1027,12 @@ def _execute_job(
         return index, result, attempt, perf_counter() - start
 
 
-def _apply_worker_plan(worker_plan: Optional[Tuple[float, int]]) -> None:
-    """Apply the worker-side legs of a chaos plan: startup delay and
-    armed shared-memory attach failures."""
-    if worker_plan is None:
-        return
-    delay, shm_failures = worker_plan
-    if delay > 0:
-        sleep(delay)
-    if shm_failures > 0:
-        inject_attach_failures(shm_failures)
-
-
 def _pool_worker(conn) -> None:
     """Loop of one pooled worker process: receive ``(job_fn, job, index,
-    max_retries, backoff, chaos_plan)`` messages, run them through
-    :func:`_execute_job`, send the outcome back. A ``None`` message (or
-    a closed pipe) shuts the worker down. Module-level so the ``spawn``
-    start method can import it.
+    max_retries, backoff, chaos_delay)`` messages, sleep out the chaos
+    delay, run the job through :func:`_execute_job`, send the outcome
+    back. A ``None`` message (or a closed pipe) shuts the worker down.
+    Module-level so the ``spawn`` start method can import it.
 
     Replies are ``(index, outcome, attempts, wall, rss_bytes)`` — the
     RSS reading feeds the parent-side memory watchdog. If an outcome
@@ -1064,8 +1048,9 @@ def _pool_worker(conn) -> None:
                 break
             if message is None:
                 break
-            job_fn, job, index, max_retries, backoff, worker_plan = message
-            _apply_worker_plan(worker_plan)
+            job_fn, job, index, max_retries, backoff, chaos_delay = message
+            if chaos_delay > 0:
+                sleep(chaos_delay)
             index, outcome, n_attempts, wall = _execute_job(
                 job_fn, job, index, max_retries, backoff
             )
@@ -1201,11 +1186,14 @@ class ExperimentRunner:
         full report with the failures listed.
     chaos:
         Optional :class:`~repro.core.chaos.ChaosPolicy`: the runner
-        injects the policy's seeded kills/stalls/delays/attach-failures
-        into its own pool while the suite runs. Chaos-injected kills are
-        budget-exempt (resubmitted without consuming ``max_retries``),
-        capped at the policy's ``max_faults_per_job``. Inline mode
-        applies only the worker-side legs (delays, attach failures).
+        injects the policy's seeded kills/stalls/delays into its own pool
+        while the suite runs. Chaos-injected kills are budget-exempt
+        (resubmitted without consuming ``max_retries``), capped at the
+        policy's ``max_faults_per_job``, and skip the backoff ladder: an
+        injected kill is resubmitted after at most ``retry_backoff.base``
+        seconds, while real crashes and timeouts wait out the ladder
+        rung of their own count. Inline mode applies only the
+        worker-side delay leg.
     suite_deadline:
         Optional whole-suite wall-clock budget in seconds. When it
         expires the runner stops submitting, abandons in-flight jobs and
@@ -1571,9 +1559,7 @@ class ExperimentRunner:
                 plan = self.chaos.plan(i, 1)
                 if plan.delay > 0:
                     counters.counter("chaos.delays").inc()
-                if plan.shm_failures > 0:
-                    counters.counter("chaos.shm_failures").inc()
-                _apply_worker_plan((plan.delay, plan.shm_failures))
+                    sleep(plan.delay)
             _, outcome, n_attempts, wall = _execute_job(
                 fn, jobs[i], i, self.max_retries, self.retry_backoff
             )
@@ -1633,9 +1619,10 @@ class ExperimentRunner:
             """Resubmit a crashed/timed-out job if budget allows.
 
             Chaos-injected kills are budget-exempt up to the policy's
-            per-job fault cap; real crashes and timeouts consume the
-            normal ``max_retries`` budget. Returns True when the job was
-            requeued."""
+            per-job fault cap and wait only ``retry_backoff.base``; real
+            crashes and timeouts consume the normal ``max_retries``
+            budget and climb the backoff ladder by their own count.
+            Returns True when the job was requeued."""
             injected = entry.chaos_killed
             if injected:
                 chaos_faults[index] = chaos_faults.get(index, 0) + 1
@@ -1647,9 +1634,12 @@ class ExperimentRunner:
                     return False
             prior_attempts[index] = prior_attempts.get(index, 0) + 1
             counters.counter("suite.resubmissions").inc()
-            retry_at[index] = now + self.retry_backoff.delay(
-                submissions.get(index, 1), key=index
-            )
+            if injected:
+                retry_at[index] = now + self.retry_backoff.base
+            else:
+                retry_at[index] = now + self.retry_backoff.delay(
+                    hard_faults[index], key=index
+                )
             queue.append(index)
             return True
 
@@ -1683,20 +1673,17 @@ class ExperimentRunner:
                     worker = idle.pop()
                     submissions[i] = submissions.get(i, 0) + 1
                     plan: Optional[ChaosPlan] = None
-                    worker_plan = None
+                    chaos_delay = 0.0
                     if self.chaos is not None:
                         plan = self.chaos.plan(i, submissions[i])
                         if not plan.any:
                             plan = None
-                        elif plan.delay > 0 or plan.shm_failures > 0:
-                            worker_plan = (plan.delay, plan.shm_failures)
-                            if plan.delay > 0:
-                                counters.counter("chaos.delays").inc()
-                            if plan.shm_failures > 0:
-                                counters.counter("chaos.shm_failures").inc()
+                        elif plan.delay > 0:
+                            chaos_delay = plan.delay
+                            counters.counter("chaos.delays").inc()
                     message = (
                         fn, jobs[i], i, self.max_retries,
-                        self.retry_backoff, worker_plan,
+                        self.retry_backoff, chaos_delay,
                     )
                     try:
                         worker.conn.send(message)

@@ -82,12 +82,6 @@ class ResourceGuardError(SimulationError):
     inconsistently (non-positive RSS limit or suite deadline)."""
 
 
-class SharedSegmentError(TraceError):
-    """A shared-memory trace segment could not be attached (the
-    publisher is gone, ``/dev/shm`` is unavailable, or a chaos policy
-    injected an attach failure)."""
-
-
 class SynthesisError(ReproError):
     """A synthetic workload generator received unusable parameters."""
 

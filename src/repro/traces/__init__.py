@@ -33,12 +33,7 @@ _EXPORTS = {
         "write_hourly_dataset", "write_lifetime_dataset", "write_request_trace",
     ),
     ".ops": ("jitter", "superpose", "thin", "time_scale", "truncate"),
-    ".shared": (
-        "InlineTraceSource", "SharedTracePublisher", "SharedTraceSource", "TracePublication",
-        "publish_trace", "reap_orphaned_segments",
-    ),
     ".collector": ("CounterLogger", "RequestCollector"),
-    ".formats": ("read_msr_trace", "read_spc_trace"),
     ".validate": ("validate_family", "validate_hourly", "validate_request_trace"),
 }
 
@@ -72,12 +67,4 @@ __all__ = [
     "truncate",
     "RequestCollector",
     "CounterLogger",
-    "SharedTracePublisher",
-    "SharedTraceSource",
-    "InlineTraceSource",
-    "TracePublication",
-    "publish_trace",
-    "reap_orphaned_segments",
-    "read_spc_trace",
-    "read_msr_trace",
 ]

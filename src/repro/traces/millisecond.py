@@ -18,9 +18,8 @@ from repro.traces.request import DiskRequest
 from repro.units import SECTOR_BYTES
 
 #: The columnar request layout: one structured row per request, built once
-#: per replay and consumed by the simulator's columnar loop (and by
-#: :mod:`repro.traces.shared` for zero-pickle dispatch). ``flags`` is a
-#: reserved per-request byte, zero for now.
+#: per replay and consumed by the simulator's columnar loop. ``flags`` is
+#: a reserved per-request byte, zero for now.
 REQUEST_DTYPE = np.dtype(
     [
         ("time", np.float64),

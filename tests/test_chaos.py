@@ -1,16 +1,16 @@
 """The deterministic chaos-injection harness (`repro.core.chaos`).
 
 The property the whole harness exists for: a suite running under
-sustained chaos — kills, stalls, delays, shared-memory attach failures —
-completes with a merged report canonically identical to an
-uninterrupted clean run, the retries and worker respawns doing the
-repair work.
+sustained chaos — kills, stalls, delays — completes with a merged
+report canonically identical to an uninterrupted clean run, the retries
+and worker respawns doing the repair work.
 """
 
 import time
 
 import pytest
 
+from repro.core.backoff import BackoffPolicy
 from repro.core.chaos import (
     ChaosPlan,
     ChaosPolicy,
@@ -45,7 +45,7 @@ class TestChaosPolicyValidation:
             dict(kill_prob=1.5),
             dict(stall_prob=-0.1),
             dict(delay_prob=2.0),
-            dict(shm_fail_prob=-1.0),
+            dict(kill_prob=-0.5),
             dict(kill_delay=-0.1),
             dict(stall_seconds=-1.0),
             dict(delay_seconds=-0.5),
@@ -68,8 +68,7 @@ class TestChaosPolicyValidation:
 class TestDeterminism:
     def test_plan_is_pure(self):
         policy = ChaosPolicy(
-            seed=5, kill_prob=0.5, stall_prob=0.5,
-            delay_prob=0.5, shm_fail_prob=0.5,
+            seed=5, kill_prob=0.5, stall_prob=0.5, delay_prob=0.5,
         )
         for index in range(8):
             for attempt in (1, 2, 3):
@@ -110,7 +109,6 @@ class TestPresets:
         heavy = get_chaos_policy("heavy")
         assert light.active and heavy.active
         assert light.kill_prob < heavy.kill_prob
-        assert light.shm_fail_prob < heavy.shm_fail_prob
 
     def test_reseeding_keeps_the_recipe(self):
         base = get_chaos_policy("moderate")
@@ -156,32 +154,39 @@ class TestSuiteUnderChaos:
         assert report.resilience.get("chaos.kills", 0) >= 1
         assert report.resilience.get("suite.resubmissions", 0) >= 1
 
-    def test_shm_failure_leg_is_absorbed_by_worker_retries(
-        self, web_trace, tiny_spec
-    ):
-        # Publish the trace into shared memory, then inject attach
-        # failures: the in-worker retry ladder must absorb them and the
-        # replayed numbers must match the unpublished trace exactly.
-        from repro.core.runner import ExperimentJob
-        from repro.traces import publish_trace
+    def test_injected_kills_skip_the_backoff_ladder(self, jobs):
+        # seed=18 kills job 0's first five submissions and never job 1.
+        # Each injected kill waits at most `base`; climbing the ladder
+        # would wait 0.25 + 0.5 + 1 + 2 + 2 s.
+        backoff = BackoffPolicy(base=0.25, factor=2.0, jitter=0.0, max_delay=2.0)
+        chaos = ChaosPolicy(seed=18, kill_prob=0.8, kill_delay=0.0)
+        start = time.perf_counter()
+        report = ExperimentRunner(
+            workers=2, chaos=chaos, retry_backoff=backoff
+        ).run_suite(jobs, job_fn=slow_job_fn)
+        wall = time.perf_counter() - start
+        assert report.ok
+        kills = report.resilience["chaos.kills"]
+        assert kills == 5
+        assert wall < kills * backoff.base + 0.6
 
-        with publish_trace(web_trace) as publication:
-            job = ExperimentJob(
-                profile=None,
-                drive=tiny_spec,
-                seed=3,
-                trace=publication.source,
-            )
-            chaos = ChaosPolicy(seed=0, shm_fail_prob=1.0)
-            report = ExperimentRunner(
-                workers=2, max_retries=2, chaos=chaos
-            ).run_suite([job, job])
-            assert report.ok
-            assert report.resilience.get("chaos.shm_failures", 0) >= 1
-            baseline = ExperimentRunner(workers=1).run_suite([job])
-        for result in report.results:
-            assert result.mean_response == baseline.results[0].mean_response
-            assert result.n_requests == baseline.results[0].n_requests
+    def test_resilience_ledger_reports_only_what_happened(self, jobs):
+        # Calm jobs under the heavy preset: every ledger entry must be a
+        # leg that acted on the pool or the repair it forced, and every
+        # injected kill must have cost exactly one resubmission.
+        report = ExperimentRunner(
+            workers=2, chaos=get_chaos_policy("heavy", seed=3)
+        ).run_suite(jobs * 2, job_fn=slow_job_fn)
+        assert report.ok
+        effects = {
+            "chaos.kills", "chaos.stalls", "chaos.delays",
+            "suite.resubmissions", "suite.worker_crashes",
+        }
+        assert set(report.resilience) <= effects
+        assert report.resilience["chaos.kills"] >= 1
+        assert report.resilience["suite.resubmissions"] == (
+            report.resilience["chaos.kills"]
+        )
 
     def test_inline_mode_applies_worker_side_legs(self, jobs):
         chaos = ChaosPolicy(seed=2, delay_prob=1.0, delay_seconds=0.01)

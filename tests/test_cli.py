@@ -295,3 +295,19 @@ def test_suite_trace_events_dump_every_job(command, tmp_path, capsys):
     events = [json.loads(line) for line in path.read_text().splitlines()]
     assert events and all("job" in event for event in events)
     assert f"wrote {len(events)} trace events to {path}" in out
+
+
+@pytest.mark.parametrize("command", sorted(SUITE_COMMANDS))
+def test_suite_obs_renders_phases_and_metrics(command, tmp_path, capsys):
+    import json
+
+    argv, _, _ = SUITE_COMMANDS[command]
+    path = tmp_path / "out.json"
+    code, out, _ = run(capsys, *argv, "--obs", "metrics", "--json", str(path))
+    assert code == 0
+    assert "per-phase breakdown (obs=metrics)" in out
+    assert "(suite-wide metrics: " in out
+    payload = json.loads(path.read_text())
+    assert payload["obs_level"] == "metrics"
+    assert "simulate" in payload["phase_breakdown"]
+    assert payload["metrics"]

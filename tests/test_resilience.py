@@ -1,5 +1,5 @@
-"""Crash-safety end to end: resume-after-SIGKILL, shm leak reaping,
-suite deadlines, and the RSS watchdog."""
+"""Crash-safety end to end: resume-after-SIGKILL, suite deadlines, and
+the RSS watchdog."""
 
 import json
 import os
@@ -7,7 +7,6 @@ import signal
 import subprocess
 import sys
 import time
-from multiprocessing import shared_memory
 
 import numpy as np
 import pytest
@@ -21,8 +20,6 @@ from repro.core.runner import (
 )
 from repro.errors import ResourceGuardError
 from repro.synth.profiles import get_profile
-from repro.traces import publish_trace, reap_orphaned_segments
-from repro.traces import shared as shared_mod
 
 # Module-level job functions so worker processes can unpickle them.
 
@@ -142,108 +139,6 @@ class TestResumeAfterSigkill:
             )
             assert journal.n_recorded == 0
         assert second.canonical_json() == first.canonical_json()
-
-
-_LEAKING_PUBLISHER = """\
-import sys, time
-from repro.synth.profiles import get_profile
-from repro.traces.shared import SharedTracePublisher
-
-trace = get_profile("web").synthesize(span=3.0, capacity_sectors=2 ** 20, seed=1)
-publisher = SharedTracePublisher(trace)
-print(publisher.source.shm_name, flush=True)
-time.sleep(60)
-"""
-
-
-class TestSegmentLeaks:
-    def test_sigkilled_publisher_is_reaped(self, tmp_path, monkeypatch):
-        # Regression: a publisher SIGKILLed before close() used to leak
-        # its /dev/shm segment forever.
-        monkeypatch.setenv("REPRO_SHM_REGISTRY", str(tmp_path / "registry"))
-        script = tmp_path / "leaking_publisher.py"
-        script.write_text(_LEAKING_PUBLISHER)
-        proc = subprocess.Popen(
-            [sys.executable, str(script)],
-            stdout=subprocess.PIPE,
-            text=True,
-            env={**os.environ, "PYTHONPATH": "src",
-                 "REPRO_SHM_REGISTRY": str(tmp_path / "registry")},
-            cwd="/root/repo",
-        )
-        try:
-            name = proc.stdout.readline().strip()
-            assert name
-            # The segment is live while the publisher runs.
-            probe = shared_memory.SharedMemory(name=name)
-            shared_mod._unregister_attached(probe)
-            probe.close()
-            proc.kill()  # SIGKILL: no atexit, no signal handler
-            proc.wait(timeout=30)
-
-            reaped = reap_orphaned_segments()
-            assert name in reaped
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=name)
-            # The registry entry is gone too: a second reap is a no-op.
-            assert reap_orphaned_segments() == []
-        finally:
-            if proc.poll() is None:
-                proc.kill()
-
-    def test_close_deregisters(self, web_trace, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_SHM_REGISTRY", str(tmp_path / "registry"))
-        from repro.traces.shared import SharedTracePublisher, segment_registry_dir
-
-        publisher = SharedTracePublisher(web_trace)
-        name = publisher.source.shm_name
-        assert (segment_registry_dir() / f"{name}.json").exists()
-        publisher.close()
-        assert not (segment_registry_dir() / f"{name}.json").exists()
-        assert reap_orphaned_segments() == []
-
-    def test_live_owner_is_not_reaped(self, web_trace, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_SHM_REGISTRY", str(tmp_path / "registry"))
-        from repro.traces.shared import SharedTracePublisher
-
-        publisher = SharedTracePublisher(web_trace)
-        try:
-            assert reap_orphaned_segments() == []
-            assert len(publisher.source.load()) == len(web_trace)
-        finally:
-            publisher.close()
-
-
-class TestGracefulDegradation:
-    def test_publish_trace_degrades_to_inline(self, web_trace, monkeypatch):
-        # Simulate an environment without usable shared memory.
-        def no_shm(self, trace):
-            raise OSError("no /dev/shm")
-
-        monkeypatch.setattr(
-            shared_mod.SharedTracePublisher, "__init__", no_shm
-        )
-        with publish_trace(web_trace) as publication:
-            assert publication.mode == "inline"
-            rebuilt = publication.source.load()
-        assert len(rebuilt) == len(web_trace)
-        assert rebuilt.span == web_trace.span
-
-    def test_inline_and_shared_results_identical(self, web_trace, tiny_spec):
-        def job_for(source):
-            return ExperimentJob(
-                profile=None, drive=tiny_spec, seed=5, trace=source
-            )
-
-        with publish_trace(web_trace) as shared_pub:
-            assert shared_pub.mode == "shared"
-            via_shared = run_job(job_for(shared_pub.source))
-        with publish_trace(web_trace, prefer_shared=False) as inline_pub:
-            assert inline_pub.mode == "inline"
-            via_inline = run_job(job_for(inline_pub.source))
-        assert via_shared.mean_response == via_inline.mean_response
-        assert via_shared.utilization == via_inline.utilization
-        assert via_shared.n_requests == via_inline.n_requests
 
 
 class TestSuiteDeadline:
