@@ -23,6 +23,13 @@ Admission modes (the two exemplar cache-tier disciplines):
   *synchronously* — the foreground request pays the HDD write, which is
   exactly where write-back's miss-tail inflation comes from.
 
+Eviction picks the coldest resident chunk, ``min((score, chunk))``. For
+policies whose score changes only on a touch (``lru``, ``lfu``; see
+:attr:`~repro.tier.policy.HeatPolicy.indexable`) the device keeps a
+victim heap of ``(score, chunk)`` entries with lazy invalidation, so an
+eviction costs O(log capacity) instead of a scan of every resident
+chunk; ``rf`` and ``learned`` rank by ``now`` as well and keep the scan.
+
 Approximation notes (mirroring :mod:`repro.disk.cache`): interval
 flushes and migration copies are background traffic — they are counted
 (bytes, runs, chunk moves) but do not occupy the foreground timeline.
@@ -35,8 +42,9 @@ dirty remainder``) holds exactly and is asserted by property tests.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -49,6 +57,13 @@ from repro.units import MIB, SECTOR_BYTES
 
 #: Admission modes: write-through and write-back.
 TIER_MODES = ("wt", "wb")
+
+#: The victim heap is rebuilt from the resident set once it holds more
+#: than ``HEAP_COMPACT_FACTOR * resident + HEAP_COMPACT_SLACK`` entries:
+#: every touch of a resident chunk pushes one, so a run that only hits
+#: would otherwise grow it without bound.
+HEAP_COMPACT_FACTOR = 2
+HEAP_COMPACT_SLACK = 32
 
 
 @dataclass(frozen=True)
@@ -237,6 +252,13 @@ class TieredDevice:
         self.hit_log: List[bool] = []
         #: chunk id -> dirty flag for every flash-resident chunk.
         self._resident: Dict[int, bool] = {}
+        #: Victim index of an indexable policy (None: scan on eviction).
+        #: Every resident chunk has an entry holding its current score;
+        #: entries of evicted or since-touched chunks are stale and are
+        #: dropped when they reach the top.
+        self._heap: Optional[List[Tuple[float, int]]] = (
+            [] if self.policy.indexable else None
+        )
         self._next_flush = config.flush_interval
         self._next_migrate = config.migrate_interval if self.engine else float("inf")
         self._pending_fault = None
@@ -358,6 +380,7 @@ class TieredDevice:
                 flushed += self.config.chunk_bytes
         for chunk in plan.promote:
             self._resident[chunk] = False
+            self._index(chunk, now)
         self.stats.promoted_chunks += len(plan.promote)
         self.stats.demoted_chunks += len(plan.demote)
         self.stats.flushed_bytes += flushed
@@ -375,16 +398,52 @@ class TieredDevice:
     # Admission and eviction
     # ------------------------------------------------------------------
 
+    def _index(self, chunk: int, now: float) -> None:
+        """Give resident ``chunk`` a heap entry at its current score."""
+        heap = self._heap
+        if heap is None:
+            return
+        score = self.policy.score
+        heapq.heappush(heap, (score(chunk, now), chunk))
+        if len(heap) > HEAP_COMPACT_FACTOR * len(self._resident) + HEAP_COMPACT_SLACK:
+            heap[:] = [(score(c, now), c) for c in self._resident]
+            heapq.heapify(heap)
+
+    def _victim(self, incoming: Set[int], now: float) -> Optional[int]:
+        """The coldest resident chunk not in ``incoming`` (ties: lowest
+        id), or None when there is none."""
+        heap = self._heap
+        if heap is None:
+            candidates = [c for c in self._resident if c not in incoming]
+            return self.policy.victim(candidates, now) if candidates else None
+        score = self.policy.score
+        resident = self._resident
+        skipped = []
+        victim = None
+        while heap:
+            entry = heapq.heappop(heap)
+            chunk = entry[1]
+            if chunk not in resident or entry[0] != score(chunk, now):
+                continue  # stale: evicted, or touched since the push
+            if chunk in incoming:
+                skipped.append(entry)
+                continue
+            victim = chunk
+            break
+        for entry in skipped:
+            heapq.heappush(heap, entry)
+        return victim
+
     def _evict_for(self, incoming, now: float) -> float:
         """Free space for ``incoming`` chunks; returns the synchronous
         destage penalty (seconds) charged to the foreground request."""
         penalty = 0.0
         incoming_set = set(incoming)
-        while len(self._resident) + len(incoming_set) > self.config.capacity_chunks:
-            candidates = [c for c in self._resident if c not in incoming_set]
-            if not candidates:
+        capacity = self.config.capacity_chunks
+        while len(self._resident) + len(incoming_set) > capacity:
+            victim = self._victim(incoming_set, now)
+            if victim is None:
                 break
-            victim = self.policy.victim(candidates, now)
             dirty = self._resident.pop(victim)
             self.stats.evictions += 1
             if dirty:
@@ -405,9 +464,11 @@ class TieredDevice:
         if not missing:
             return 0.0
         penalty = self._evict_for(missing, now)
+        capacity = self.config.capacity_chunks
         for chunk in missing:
-            if len(self._resident) < self.config.capacity_chunks:
+            if len(self._resident) < capacity:
                 self._resident[chunk] = False
+                self._index(chunk, now)
         return penalty
 
     # ------------------------------------------------------------------
@@ -424,6 +485,8 @@ class TieredDevice:
         chunks = self._chunks_of(lba, nsectors)
         for chunk in chunks:
             self.policy.touch(chunk, now, is_write)
+            if chunk in self._resident:
+                self._index(chunk, now)
         nbytes = nsectors * SECTOR_BYTES
         self.stats.bytes_total += nbytes
 

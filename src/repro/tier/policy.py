@@ -34,6 +34,12 @@ class HeatPolicy:
 
     name = "base"
 
+    #: True when a chunk's score changes only when the chunk is touched
+    #: (never with ``now`` alone). :class:`~repro.tier.device.TieredDevice`
+    #: then keeps its resident chunks in a victim heap instead of
+    #: scanning them with :meth:`victim` on every eviction.
+    indexable = False
+
     def __init__(self) -> None:
         self._last_touch: Dict[int, float] = {}
         self._touches: Dict[int, int] = {}
@@ -76,6 +82,7 @@ class LruPolicy(HeatPolicy):
     """Least-recently-used: heat is the last touch time."""
 
     name = "lru"
+    indexable = True
 
     def score(self, chunk: int, now: float) -> float:
         return self._last_touch.get(chunk, float("-inf"))
@@ -89,6 +96,7 @@ class LfuPolicy(HeatPolicy):
     """
 
     name = "lfu"
+    indexable = True
 
     def __init__(self, recency_weight: float = 1e-9) -> None:
         super().__init__()

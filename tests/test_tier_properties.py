@@ -1,8 +1,12 @@
-"""Property tests of the tier subsystem's three core guarantees:
-``tier=None`` bit-identity, write-back byte conservation, and
-migration determinism."""
+"""Property tests of the tier subsystem's core guarantees:
+``tier=None`` bit-identity, write-back byte conservation, migration
+determinism, and an LRU/LFU victim index that evicts exactly what a
+full scan would, at a cost that does not grow with capacity."""
+
+from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,6 +15,8 @@ from repro.disk.drive import DiskDrive, DriveSpec
 from repro.disk.simulator import DiskSimulator
 from repro.synth.profiles import get_profile
 from repro.tier import TierConfig, TieredDevice
+from repro.tier.device import HEAP_COMPACT_FACTOR, HEAP_COMPACT_SLACK
+from repro.traces.millisecond import RequestTrace
 from repro.units import SECTOR_BYTES, ms
 
 
@@ -192,3 +198,157 @@ class TestMigrationDeterminism:
             return device.resident_chunks
 
         assert final_residency() == final_residency()
+
+
+def _scan_victim(self, incoming, now):
+    """The reference eviction choice: score every resident chunk."""
+    candidates = [c for c in self._resident if c not in incoming]
+    return self.policy.victim(candidates, now) if candidates else None
+
+
+def _replay(spec, scheduler, config, trace, victim=None):
+    """Run ``trace`` through the simulator; returns the result and the
+    :class:`TieredDevice` it built (``victim`` replaces its choice)."""
+    built = []
+
+    class Recording(TieredDevice):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    if victim is not None:
+        Recording._victim = victim
+    with mock.patch("repro.disk.simulator.TieredDevice", Recording):
+        result = DiskSimulator(spec, scheduler, seed=11, tier=config).run(trace)
+    (device,) = built
+    return result, device
+
+
+def _drive_requests(device, requests):
+    """Serve ``(chunk, is_write)`` requests back to back, one whole chunk
+    each, pausing after every request."""
+    size = device.config.chunk_sectors
+    clock = 0.0
+    for chunk, is_write in requests:
+        clock += 1e-3 + device.service_time(chunk * size, size, is_write, clock)
+        yield
+
+
+class TestVictimIndex:
+    """LRU/LFU evict from a lazily-invalidated heap; the choice must be
+    the scan's ``min((score, chunk))`` on every step."""
+
+    @given(
+        policy=st.sampled_from(["lru", "lfu"]),
+        mode=st.sampled_from(["wt", "wb"]),
+        migrate=st.booleans(),
+        scheduler=st.sampled_from(["fcfs", "sstf"]),
+        capacity=st.integers(min_value=1, max_value=16),
+        steps=st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=40),   # chunk index
+                st.integers(min_value=0, max_value=127),  # offset in chunk
+                st.integers(min_value=1, max_value=192),  # sectors
+                st.booleans(),                            # write?
+                # Zero gaps make same-time touches: LRU score ties.
+                st.sampled_from([0.0, 1e-4, 0.003, 0.05, 0.4]),
+            ),
+            min_size=1,
+            max_size=80,
+        ),
+    )
+    @settings(deadline=None, max_examples=60)
+    def test_index_matches_scan(
+        self, policy, mode, migrate, scheduler, capacity, steps
+    ):
+        spec = small_spec(CacheConfig.disabled())
+        config = small_tier(
+            mode=mode,
+            policy=policy,
+            capacity_bytes=capacity * 128 * SECTOR_BYTES,
+            migrate_interval=0.5 if migrate else 0.0,
+            migrate_chunks_per_epoch=4,
+        )
+        chunks, offsets, sizes, writes, gaps = zip(*steps)
+        times = np.cumsum(gaps)
+        trace = RequestTrace(
+            times=times,
+            lbas=np.multiply(chunks, 128) + offsets,
+            nsectors=sizes,
+            is_write=writes,
+            span=float(times[-1]) + 1.0,
+            label="victims",
+        )
+        indexed, device = _replay(spec, scheduler, config, trace)
+        scanned, reference = _replay(
+            spec, scheduler, config, trace, victim=_scan_victim
+        )
+        assert device.hit_log == reference.hit_log
+        assert np.array_equal(indexed.tier_hits, scanned.tier_hits)
+        assert device.resident_chunks == reference.resident_chunks
+        assert indexed.tier_summary == scanned.tier_summary
+        assert np.array_equal(indexed.service_times, scanned.service_times)
+        assert np.array_equal(indexed.start_times, scanned.start_times)
+        # The invariant: every resident chunk has a current entry.
+        now = float(times[-1])
+        entries = set(device._heap)
+        for chunk in device.resident_chunks:
+            assert (device.policy.score(chunk, now), chunk) in entries
+
+    @pytest.mark.parametrize("policy", ["lru", "lfu"])
+    def test_score_calls_per_eviction_flat_in_capacity(self, policy):
+        """A 16x larger tier must not cost 16x the work per eviction."""
+        spec = small_spec(CacheConfig.disabled())
+        rng = np.random.default_rng(5)
+        footprint = spec.capacity_sectors // 8
+        requests = list(zip(
+            rng.integers(0, footprint, size=3000).tolist(),
+            (rng.random(3000) < 0.3).tolist(),
+        ))
+        per_eviction = {}
+        for capacity in (64, 1024):
+            device = TieredDevice(
+                DiskDrive(spec, seed=3),
+                small_tier(
+                    policy=policy, chunk_sectors=8,
+                    capacity_bytes=capacity * 8 * SECTOR_BYTES,
+                    migrate_interval=0.0,
+                ),
+            )
+            score = device.policy.score
+            calls = [0]
+
+            def counting(chunk, now, score=score, calls=calls):
+                calls[0] += 1
+                return score(chunk, now)
+
+            device.policy.score = counting
+            for _ in _drive_requests(device, requests):
+                pass
+            assert device.stats.evictions > 1000
+            per_eviction[capacity] = calls[0] / device.stats.evictions
+        assert per_eviction[1024] < 2 * per_eviction[64], per_eviction
+
+    @pytest.mark.parametrize("policy", ["lru", "lfu"])
+    def test_heap_stays_bounded_when_every_request_hits(self, policy):
+        """Hits push an entry each; compaction keeps the heap within
+        ``HEAP_COMPACT_FACTOR`` entries per resident chunk plus slack."""
+        spec = small_spec(CacheConfig.disabled())
+        rng = np.random.default_rng(9)
+        working_set = 12
+        requests = list(zip(
+            rng.integers(0, working_set, size=4000).tolist(),
+            (rng.random(4000) < 0.5).tolist(),
+        ))
+        device = TieredDevice(
+            DiskDrive(spec, seed=3),
+            small_tier(policy=policy, capacity_bytes=16 * 128 * SECTOR_BYTES),
+        )
+        largest = 0
+        for _ in _drive_requests(device, requests):
+            resident = len(device.resident_chunks)
+            assert len(device._heap) <= HEAP_COMPACT_FACTOR * resident + HEAP_COMPACT_SLACK
+            largest = max(largest, len(device._heap))
+        assert device.stats.evictions == 0
+        assert device.stats.hits == len(requests) - working_set
+        assert largest > working_set  # entries did pile up between rebuilds
