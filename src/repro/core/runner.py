@@ -50,7 +50,7 @@ import signal as signal_module
 import traceback as traceback_module
 from collections import deque
 from contextlib import nullcontext
-from dataclasses import asdict, dataclass, fields as dataclass_fields
+from dataclasses import asdict, dataclass, fields as dataclass_fields, replace
 from math import inf
 from multiprocessing.connection import wait as connection_wait
 from time import perf_counter, sleep
@@ -513,7 +513,10 @@ class JobFailure:
         Formatted traceback of the final attempt (empty for timeouts,
         which are detected from the parent process).
     attempts:
-        How many times the job was tried before giving up.
+        How many times the job was tried before giving up: in-worker
+        retries plus every parent-side resubmission after a worker
+        crash or timeout (``SuiteReport.retries`` sums
+        ``attempts - 1``).
     wall_seconds:
         Wall time spent on the job across every attempt.
     """
@@ -528,6 +531,32 @@ class JobFailure:
 
     def as_dict(self) -> Dict[str, Any]:
         return asdict(self)
+
+
+def _job_label(job: Any, index: int) -> str:
+    """``job.label``, or ``job-<index>`` for label-less jobs."""
+    return str(getattr(job, "label", f"job-{index}"))
+
+
+def _failure(
+    job: Any,
+    index: int,
+    error_type: str,
+    message: str,
+    traceback: str = "",
+    attempts: int = 1,
+    wall_seconds: float = 0.0,
+) -> JobFailure:
+    """The one constructor of :class:`JobFailure`."""
+    return JobFailure(
+        label=_job_label(job, index),
+        index=index,
+        error_type=error_type,
+        message=message,
+        traceback=traceback,
+        attempts=attempts,
+        wall_seconds=wall_seconds,
+    )
 
 
 JobOutcome = Union[JobResult, JobFailure]
@@ -999,7 +1028,6 @@ def _execute_job(
     are spaced by ``backoff`` (seeded exponential with jitter, keyed by
     the job index so concurrent retriers decorrelate).
     """
-    label = getattr(job, "label", f"job-{index}")
     start = perf_counter()
     attempt = 0
     while True:
@@ -1014,14 +1042,9 @@ def _execute_job(
                         sleep(delay)
                 continue
             wall = perf_counter() - start
-            failure = JobFailure(
-                label=str(label),
-                index=index,
-                error_type=type(exc).__name__,
-                message=str(exc),
-                traceback=traceback_module.format_exc(),
-                attempts=attempt,
-                wall_seconds=wall,
+            failure = _failure(
+                job, index, type(exc).__name__, str(exc),
+                traceback_module.format_exc(), attempt, wall,
             )
             return index, failure, attempt, wall
         return index, result, attempt, perf_counter() - start
@@ -1057,15 +1080,10 @@ def _pool_worker(conn) -> None:
             try:
                 conn.send((index, outcome, n_attempts, wall, _rss_bytes()))
             except Exception as exc:  # result transport failure
-                label = getattr(job, "label", f"job-{index}")
-                failure = JobFailure(
-                    label=str(label),
-                    index=index,
-                    error_type=type(exc).__name__,
-                    message=f"job result could not be sent back: {exc}",
-                    traceback=traceback_module.format_exc(),
-                    attempts=n_attempts,
-                    wall_seconds=wall,
+                failure = _failure(
+                    job, index, type(exc).__name__,
+                    f"job result could not be sent back: {exc}",
+                    traceback_module.format_exc(), n_attempts, wall,
                 )
                 conn.send((index, failure, n_attempts, wall, _rss_bytes()))
     finally:
@@ -1151,6 +1169,18 @@ class _BusyJob:
             if self.resume_at is not None:
                 times.append(self.resume_at)
         return min(times, default=inf)
+
+    def resume(self) -> None:
+        """Lift a chaos stall (``SIGCONT``) if one is in force."""
+        if self.resume_at is not None:
+            self.worker.signal(signal_module.SIGCONT)
+            self.resume_at = None
+
+    def kill(self) -> None:
+        """Terminate the worker, resuming it first: a stopped process
+        does not act on the terminate."""
+        self.resume()
+        self.worker.kill()
 
 
 class ExperimentRunner:
@@ -1316,90 +1346,17 @@ class ExperimentRunner:
         object on resume (default: a :class:`JobResult`); sharded runs
         pass :meth:`ShardResult.from_dict`.
         """
-        jobs = list(jobs)
-        fn = job_fn if job_fn is not None else run_job
-        decode = (
-            result_decoder
-            if result_decoder is not None
-            else lambda record: _dataclass_from_record(JobResult, record)
-        )
         start = perf_counter()
-        n = len(jobs)
-        counters = MetricsRegistry()
-        outcomes: List[Optional[JobOutcome]] = [None] * n
-        attempts = [0] * n
-        done = 0
-
-        # Resume: merge journaled results before any execution.
-        if journal is not None:
-            resumed = journal.completed_results()
-            for index in sorted(resumed):
-                outcomes[index] = decode(resumed[index])
-            if resumed:
-                counters.counter("journal.resumed_jobs").inc(len(resumed))
-            if getattr(journal, "recovered_torn_line", False):
-                counters.counter("journal.torn_records_dropped").inc()
-            for index in sorted(resumed):
-                done += 1
-                if progress is not None:
-                    progress(done, n, outcomes[index])
-
-        pending = [i for i in range(n) if outcomes[i] is None]
-        workers = self._worker_count(len(pending)) if pending else 1
-        deadline_at = (
-            start + self.suite_deadline if self.suite_deadline is not None else None
+        outcomes, workers, retries, counters = self._execute(
+            list(jobs),
+            job_fn if job_fn is not None else run_job,
+            progress,
+            journal,
+            result_decoder,
+            start,
+            fail_fast=self.on_error == "raise",
         )
-
-        def resolve(index: int, outcome: JobOutcome, n_attempts: int) -> None:
-            nonlocal done
-            outcomes[index] = outcome
-            attempts[index] = n_attempts
-            done += 1
-            if (
-                journal is not None
-                and not isinstance(outcome, JobFailure)
-                and getattr(outcome, "ok", True)
-            ):
-                journal.record(index, outcome.as_dict())
-                counters.counter("journal.recorded").inc()
-            if progress is not None:
-                progress(done, n, outcome)
-
-        if pending:
-            if workers == 1:
-                self._run_inline(jobs, fn, pending, resolve, counters, deadline_at)
-            else:
-                self._run_pool(
-                    jobs, fn, pending, resolve, counters, deadline_at, workers
-                )
-        deadline_exceeded = counters.counters.get("suite.deadline_hits") is not None
-        resilience = {
-            name: counter.value
-            for name, counter in sorted(counters.counters.items())
-            if counter.value
-        }
-        report = SuiteReport(
-            results=tuple(
-                o
-                for o in outcomes
-                if o is not None and not isinstance(o, JobFailure)
-            ),
-            failures=tuple(o for o in outcomes if isinstance(o, JobFailure)),
-            n_jobs=n,
-            workers=workers,
-            retries=sum(max(0, a - 1) for a in attempts),
-            wall_seconds=perf_counter() - start,
-            deadline_exceeded=deadline_exceeded,
-            resilience=resilience or None,
-        )
-        if report.failures and self.on_error == "raise":
-            first = report.failures[0]
-            raise SuiteError(
-                f"suite job {first.label!r} failed after {first.attempts} "
-                f"attempt(s): {first.error_type}: {first.message}",
-                report=report,
-            )
-        return report
+        return self._report(outcomes, workers, retries, counters, start)
 
     def run_sharded(
         self,
@@ -1438,16 +1395,6 @@ class ExperimentRunner:
         start = perf_counter()
         shards = shard_jobs(jobs, shard_size)
         fn = job_fn if job_fn is not None else run_job
-        inner = ExperimentRunner(
-            workers=self.workers,
-            max_retries=self.max_retries,
-            job_timeout=self.job_timeout,
-            on_error="collect",
-            chaos=self.chaos,
-            suite_deadline=self.suite_deadline,
-            rss_limit_mb=self.rss_limit_mb,
-            retry_backoff=self.retry_backoff,
-        )
 
         shard_progress: Optional[ProgressCallback] = None
         if progress is not None:
@@ -1463,41 +1410,136 @@ class ExperimentRunner:
                     member_done[0] += 1
                     progress(member_done[0], n, member)
 
-        shard_report = inner.run_suite(
+        # Every shard runs whatever ``on_error`` says; a failure raises
+        # only once the member report below is complete.
+        shard_outcomes, workers, retries, counters = self._execute(
             shards,
-            progress=shard_progress,
-            job_fn=_ShardRunner(fn, self.max_retries, self.retry_backoff),
-            journal=journal,
-            result_decoder=ShardResult.from_dict,
+            _ShardRunner(fn, self.max_retries, self.retry_backoff),
+            shard_progress,
+            journal,
+            ShardResult.from_dict,
+            start,
+            fail_fast=False,
+        )
+        outcomes: List[Optional[JobOutcome]] = [None] * n
+        for shard, outcome in zip(shards, shard_outcomes):
+            if isinstance(outcome, JobFailure):
+                # The whole shard failed before producing member outcomes
+                # (worker crash, timeout, unpicklable dispatch): expand to
+                # one per-member failure so accounting stays per job.
+                for index in shard.indices:
+                    outcomes[index] = replace(
+                        outcome, label=_job_label(jobs[index], index), index=index
+                    )
+            elif outcome is not None:
+                for index, member in zip(outcome.indices, outcome.outcomes):
+                    outcomes[index] = member
+        return self._report(outcomes, workers, retries, counters, start)
+
+    # ------------------------------------------------------------------
+    # Execution strategies
+    # ------------------------------------------------------------------
+
+    def _execute(
+        self,
+        jobs: List[Any],
+        fn: Callable[[Any], Any],
+        progress: Optional[ProgressCallback],
+        journal,
+        result_decoder: Optional[Callable[[Mapping[str, Any]], Any]],
+        start: float,
+        fail_fast: bool,
+    ) -> Tuple[List[Optional[Any]], int, int, MetricsRegistry]:
+        """Resume from ``journal``, then run the pending jobs inline or
+        pooled. Returns ``(outcomes, workers, retries, counters)`` with
+        one outcome slot per job (``None`` when it never resolved). With
+        ``fail_fast`` the first failure stops further submission."""
+        decode = (
+            result_decoder
+            if result_decoder is not None
+            else lambda record: _dataclass_from_record(JobResult, record)
+        )
+        n = len(jobs)
+        counters = MetricsRegistry()
+        outcomes: List[Optional[Any]] = [None] * n
+        attempts = [0] * n
+        done = 0
+
+        # Resume: merge journaled results before any execution.
+        if journal is not None:
+            resumed = journal.completed_results()
+            for index in sorted(resumed):
+                outcomes[index] = decode(resumed[index])
+            if resumed:
+                counters.counter("journal.resumed_jobs").inc(len(resumed))
+            if getattr(journal, "recovered_torn_line", False):
+                counters.counter("journal.torn_records_dropped").inc()
+            for index in sorted(resumed):
+                done += 1
+                if progress is not None:
+                    progress(done, n, outcomes[index])
+
+        pending = [i for i in range(n) if outcomes[i] is None]
+        workers = self._worker_count(len(pending)) if pending else 1
+        deadline_at = (
+            start + self.suite_deadline if self.suite_deadline is not None else None
         )
 
-        outcomes: List[Optional[JobOutcome]] = [None] * n
-        for shard_result in shard_report.results:
-            for index, outcome in zip(shard_result.indices, shard_result.outcomes):
-                outcomes[index] = outcome
-        for failure in shard_report.failures:
-            # The whole shard failed before producing member outcomes
-            # (worker crash, timeout, unpicklable dispatch): expand to
-            # one per-member failure so accounting stays per job.
-            for index in shards[failure.index].indices:
-                outcomes[index] = JobFailure(
-                    label=getattr(jobs[index], "label", f"job-{index}"),
-                    index=index,
-                    error_type=failure.error_type,
-                    message=failure.message,
-                    traceback=failure.traceback,
-                    attempts=failure.attempts,
-                    wall_seconds=failure.wall_seconds,
+        def resolve(index: int, outcome: JobOutcome, n_attempts: int) -> bool:
+            """Record one outcome; True when submission must stop."""
+            nonlocal done
+            outcomes[index] = outcome
+            attempts[index] = n_attempts
+            done += 1
+            if (
+                journal is not None
+                and not isinstance(outcome, JobFailure)
+                and getattr(outcome, "ok", True)
+            ):
+                journal.record(index, outcome.as_dict())
+                counters.counter("journal.recorded").inc()
+            if progress is not None:
+                progress(done, n, outcome)
+            return fail_fast and isinstance(outcome, JobFailure)
+
+        if pending:
+            if workers == 1:
+                self._run_inline(jobs, fn, pending, resolve, counters, deadline_at)
+            else:
+                self._run_pool(
+                    jobs, fn, pending, resolve, counters, deadline_at, workers
                 )
+        return outcomes, workers, sum(max(0, a - 1) for a in attempts), counters
+
+    def _report(
+        self,
+        outcomes: List[Optional[Any]],
+        workers: int,
+        retries: int,
+        counters: MetricsRegistry,
+        start: float,
+    ) -> SuiteReport:
+        """Build the suite's report from its outcome slots; under
+        ``on_error="raise"`` a failure raises :class:`SuiteError`
+        carrying the report instead."""
+        resilience = {
+            name: counter.value
+            for name, counter in sorted(counters.counters.items())
+            if counter.value
+        }
         report = SuiteReport(
-            results=tuple(o for o in outcomes if isinstance(o, JobResult)),
+            results=tuple(
+                o
+                for o in outcomes
+                if o is not None and not isinstance(o, JobFailure)
+            ),
             failures=tuple(o for o in outcomes if isinstance(o, JobFailure)),
-            n_jobs=n,
-            workers=shard_report.workers,
-            retries=shard_report.retries,
+            n_jobs=len(outcomes),
+            workers=workers,
+            retries=retries,
             wall_seconds=perf_counter() - start,
-            deadline_exceeded=shard_report.deadline_exceeded,
-            resilience=shard_report.resilience,
+            deadline_exceeded="suite.deadline_hits" in counters.counters,
+            resilience=resilience or None,
         )
         if report.failures and self.on_error == "raise":
             first = report.failures[0]
@@ -1508,36 +1550,14 @@ class ExperimentRunner:
             )
         return report
 
-    # ------------------------------------------------------------------
-    # Execution strategies
-    # ------------------------------------------------------------------
-
-    def _apply_timeout(
-        self, outcome: JobOutcome, index: int, wall: float
-    ) -> JobOutcome:
-        """Post-hoc timeout for inline mode (cannot preempt in-process)."""
-        if (
-            self.job_timeout is None
-            or wall <= self.job_timeout
-            or isinstance(outcome, JobFailure)
-        ):
-            return outcome
-        return self._timeout_failure(outcome.label, index, wall)
-
     def _timeout_failure(
-        self, label: str, index: int, wall: float, attempts: int = 1
+        self, job: Any, index: int, wall: float, attempts: int
     ) -> JobFailure:
-        return JobFailure(
-            label=label,
-            index=index,
-            error_type="TimeoutError",
-            message=(
-                f"job exceeded the per-job timeout of {self.job_timeout} s "
-                f"(ran {wall:.3f} s)"
-            ),
-            traceback="",
-            attempts=attempts,
-            wall_seconds=wall,
+        return _failure(
+            job, index, "TimeoutError",
+            f"job exceeded the per-job timeout of {self.job_timeout} s "
+            f"(ran {wall:.3f} s)",
+            attempts=attempts, wall_seconds=wall,
         )
 
     def _run_inline(
@@ -1545,7 +1565,7 @@ class ExperimentRunner:
         jobs: List[ExperimentJob],
         fn: Callable[[ExperimentJob], JobResult],
         pending: List[int],
-        resolve: Callable[[int, JobOutcome, int], None],
+        resolve: Callable[[int, JobOutcome, int], bool],
         counters: MetricsRegistry,
         deadline_at: Optional[float],
     ) -> None:
@@ -1563,11 +1583,16 @@ class ExperimentRunner:
             _, outcome, n_attempts, wall = _execute_job(
                 fn, jobs[i], i, self.max_retries, self.retry_backoff
             )
-            timed = self._apply_timeout(outcome, i, wall)
-            if isinstance(timed, JobFailure) and timed.error_type == "TimeoutError":
+            if (
+                self.job_timeout is not None
+                and wall > self.job_timeout
+                and not isinstance(outcome, JobFailure)
+            ):
+                # Inline mode cannot preempt a running job, so the
+                # timeout is applied after the fact.
                 counters.counter("suite.timeouts").inc()
-            resolve(i, timed, n_attempts)
-            if isinstance(timed, JobFailure) and self.on_error == "raise":
+                outcome = self._timeout_failure(jobs[i], i, wall, n_attempts)
+            if resolve(i, outcome, n_attempts):
                 return
 
     def _run_pool(
@@ -1575,7 +1600,7 @@ class ExperimentRunner:
         jobs: List[ExperimentJob],
         fn: Callable[[ExperimentJob], JobResult],
         pending: List[int],
-        resolve: Callable[[int, JobOutcome, int], None],
+        resolve: Callable[[int, JobOutcome, int], bool],
         counters: MetricsRegistry,
         deadline_at: Optional[float],
         workers: int,
@@ -1590,6 +1615,11 @@ class ExperimentRunner:
         prior_attempts: Dict[int, int] = {}   # attempts spent on dead submissions
         hard_faults: Dict[int, int] = {}      # crash/timeouts charged to budget
         chaos_faults: Dict[int, int] = {}     # budget-exempt injected faults
+        # One outstanding job per worker so a submitted job starts
+        # immediately and the per-job timeout clock measures execution,
+        # not queueing.
+        busy: Dict[int, _BusyJob] = {}
+        resolved: List[Tuple[int, JobOutcome, int]] = []
         stop_submitting = False
 
         def spawn() -> _PoolWorker:
@@ -1600,20 +1630,6 @@ class ExperimentRunner:
             process.start()
             child_conn.close()
             return _PoolWorker(process, parent_conn)
-
-        def crash_failure(index: int, exitcode: Any, wall: float) -> JobFailure:
-            return JobFailure(
-                label=getattr(jobs[index], "label", f"job-{index}"),
-                index=index,
-                error_type="WorkerCrashed",
-                message=(
-                    f"worker process exited with code {exitcode} mid-job "
-                    "(killed or crashed without raising)"
-                ),
-                traceback="",
-                attempts=prior_attempts.get(index, 0) + 1,
-                wall_seconds=wall,
-            )
 
         def requeue(index: int, entry: "_BusyJob", now: float) -> bool:
             """Resubmit a crashed/timed-out job if budget allows.
@@ -1643,24 +1659,43 @@ class ExperimentRunner:
             queue.append(index)
             return True
 
+        def lose_worker(index: int, counter: str, now: float) -> None:
+            """The one way a busy worker is lost mid-job, whether it died
+            (pipe EOF or sentinel exit) or overran ``job_timeout``: count
+            it under ``counter``, kill and reap the worker, spawn its
+            replacement, then requeue the job or resolve it as failed
+            with every submission counted in its attempts."""
+            entry = busy.pop(index)
+            counters.counter(counter).inc()
+            exitcode = entry.worker.process.exitcode
+            entry.kill()
+            entry.worker.reap()
+            idle.append(spawn())
+            if requeue(index, entry, now):
+                return
+            wall = now - entry.submitted
+            n_attempts = prior_attempts.get(index, 0) + 1
+            if counter == "suite.timeouts":
+                failure = self._timeout_failure(jobs[index], index, wall, n_attempts)
+            else:
+                failure = _failure(
+                    jobs[index], index, "WorkerCrashed",
+                    f"worker process exited with code {exitcode} mid-job "
+                    "(killed or crashed without raising)",
+                    attempts=n_attempts, wall_seconds=wall,
+                )
+            resolved.append((index, failure, n_attempts))
+
         idle: List[_PoolWorker] = [spawn() for _ in range(workers)]
-        # One outstanding job per worker so a submitted job starts
-        # immediately and the per-job timeout clock measures execution,
-        # not queueing.
-        busy: Dict[int, _BusyJob] = {}
         try:
             while busy or (queue and not stop_submitting):
                 now = perf_counter()
                 if deadline_at is not None and now >= deadline_at:
-                    # Budget spent: abandon in-flight work, return what
-                    # completed. Journaled results are already durable.
+                    # Budget spent: abandon in-flight work to the cleanup
+                    # below and return what completed. Journaled results
+                    # are already durable.
                     counters.counter("suite.deadline_hits").inc()
-                    for entry in busy.values():
-                        entry.worker.kill()
-                        entry.worker.reap()
-                    busy.clear()
                     return
-                resolved: List[Tuple[int, JobOutcome, int]] = []
                 while idle and queue and not stop_submitting:
                     # First queued job whose backoff delay has elapsed.
                     for _ in range(len(queue)):
@@ -1698,21 +1733,13 @@ class ExperimentRunner:
                             worker.conn.send(message)
                         except Exception as exc:
                             idle.append(worker)
-                            resolved.append(
-                                (
-                                    i,
-                                    JobFailure(
-                                        label=getattr(jobs[i], "label", f"job-{i}"),
-                                        index=i,
-                                        error_type=type(exc).__name__,
-                                        message=f"job could not be sent to a worker: {exc}",
-                                        traceback=traceback_module.format_exc(),
-                                        attempts=1,
-                                        wall_seconds=0.0,
-                                    ),
-                                    1,
-                                )
+                            n_attempts = prior_attempts.get(i, 0) + 1
+                            failure = _failure(
+                                jobs[i], i, type(exc).__name__,
+                                f"job could not be sent to a worker: {exc}",
+                                traceback_module.format_exc(), n_attempts,
                             )
+                            resolved.append((i, failure, n_attempts))
                             continue
                     busy[i] = _BusyJob(worker, perf_counter(), plan)
                 now = perf_counter()
@@ -1741,88 +1768,53 @@ class ExperimentRunner:
                             entry.submitted += plan.stall_seconds
                             counters.counter("chaos.stalls").inc()
                     if entry.resume_at is not None and now >= entry.resume_at:
-                        entry.worker.signal(signal_module.SIGCONT)
-                        entry.resume_at = None
+                        entry.resume()
                 for i, entry in list(busy.items()):
                     worker = entry.worker
-                    outcome: Optional[JobOutcome] = None
-                    n_attempts = 1
-                    rss = 0
                     # Read the exit code before polling the pipe: a worker
                     # that finished its send and then died still delivered
                     # a real outcome, which takes precedence over the crash.
                     exited = worker.process.exitcode is not None
-                    has_result = worker.conn.poll()
-                    if has_result:
+                    reply = None
+                    if worker.conn.poll():
+                        try:
+                            reply = worker.conn.recv()
+                        except (EOFError, OSError):
+                            exited = True  # the pipe closed mid-job
+                    if reply is not None:
+                        del busy[i]
                         # A stalled worker that still replied must not be
                         # parked in the idle pool frozen.
-                        if entry.resume_at is not None:
-                            worker.signal(signal_module.SIGCONT)
-                            entry.resume_at = None
-                        try:
-                            _, outcome, n_attempts, _, rss = worker.conn.recv()
-                        except (EOFError, OSError):
-                            counters.counter("suite.worker_crashes").inc()
-                            if requeue(i, entry, now):
-                                outcome = None
-                                del busy[i]
-                            else:
-                                outcome = crash_failure(
-                                    i, worker.process.exitcode, now - entry.submitted
-                                )
-                            worker.kill()
+                        entry.resume()
+                        _, outcome, n_attempts, _, rss = reply
+                        prior = prior_attempts.get(i, 0)
+                        n_attempts += prior
+                        if prior and isinstance(outcome, JobFailure):
+                            outcome = replace(outcome, attempts=n_attempts)
+                        if (
+                            self.rss_limit_mb is not None
+                            and rss > self.rss_limit_mb * 1024 * 1024
+                        ):
+                            # Memory watchdog: retire the bloated worker
+                            # before it swaps the host.
+                            worker.stop()
                             worker.reap()
-                            idle.append(spawn())
-                            if outcome is None:
-                                continue
-                        else:
-                            n_attempts += prior_attempts.get(i, 0)
-                            idle.append(worker)
-                            if (
-                                self.rss_limit_mb is not None
-                                and rss > self.rss_limit_mb * 1024 * 1024
-                            ):
-                                # Memory watchdog: retire the bloated
-                                # worker before it swaps the host.
-                                idle.remove(worker)
-                                worker.stop()
-                                worker.reap()
-                                idle.append(spawn())
-                                counters.counter("guard.workers_recycled").inc()
+                            worker = spawn()
+                            counters.counter("guard.workers_recycled").inc()
+                        idle.append(worker)
+                        resolved.append((i, outcome, n_attempts))
                     elif exited:
-                        counters.counter("suite.worker_crashes").inc()
-                        worker.reap()
-                        idle.append(spawn())
-                        if requeue(i, entry, now):
-                            del busy[i]
-                            continue
-                        outcome = crash_failure(
-                            i, worker.process.exitcode, now - entry.submitted
-                        )
+                        lose_worker(i, "suite.worker_crashes", now)
                     elif (
                         self.job_timeout is not None
                         and now - entry.submitted > self.job_timeout
                     ):
-                        counters.counter("suite.timeouts").inc()
-                        worker.kill()
-                        worker.reap()
-                        idle.append(spawn())
-                        if requeue(i, entry, now):
-                            del busy[i]
-                            continue
-                        label = getattr(jobs[i], "label", f"job-{i}")
-                        outcome = self._timeout_failure(
-                            label, i, now - entry.submitted,
-                            attempts=prior_attempts.get(i, 0) + 1,
-                        )
-                    if outcome is not None:
-                        del busy[i]
-                        resolved.append((i, outcome, n_attempts))
-                for i, outcome, n_attempts in resolved:
-                    resolve(i, outcome, n_attempts)
-                    if isinstance(outcome, JobFailure) and self.on_error == "raise":
-                        stop_submitting = True
+                        lose_worker(i, "suite.timeouts", now)
                 if resolved:
+                    for i, outcome, n_attempts in resolved:
+                        if resolve(i, outcome, n_attempts):
+                            stop_submitting = True
+                    resolved.clear()
                     continue
                 if not busy and stop_submitting:
                     break  # only requeued jobs are left, and none will run
@@ -1843,10 +1835,11 @@ class ExperimentRunner:
                     ready, None if wake == inf else max(0.0, wake - perf_counter())
                 )
         finally:
+            # The one cleanup of every exit, the suite deadline included:
+            # busy workers are resumed if stalled and terminated, idle
+            # ones asked to stop, then all of them reaped.
             for entry in busy.values():
-                if entry.resume_at is not None:
-                    entry.worker.signal(signal_module.SIGCONT)
-                entry.worker.kill()
+                entry.kill()
             for worker in idle:
                 worker.stop()
             for worker in idle:

@@ -1,6 +1,9 @@
 """Unit tests for the fleet subsystem: tenants, placement, multiplexing,
 QoS accounting, sharded execution, and the fleet scrub budget."""
 
+import os
+import signal
+
 import numpy as np
 import pytest
 
@@ -15,7 +18,7 @@ from repro.core.runner import (
     run_job,
     shard_jobs,
 )
-from repro.errors import AnalysisError, FleetError
+from repro.errors import AnalysisError, FleetError, SuiteError
 from repro.fleet import (
     FleetSpec,
     TenantLoad,
@@ -31,6 +34,22 @@ from repro.fleet import (
     volume_layout,
 )
 from repro.synth.profiles import get_profile
+
+
+# Module-level job functions so worker processes can unpickle them.
+# With shards of two, seeds 2 and 3 make up the second shard.
+
+
+def second_shard_raises(job):
+    if job.seed in (2, 3):
+        raise ValueError(f"boom {job.seed}")
+    return run_job(job)
+
+
+def second_shard_crashes(job):
+    if job.seed == 2:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return run_job(job)
 
 
 @pytest.fixture(scope="module")
@@ -248,6 +267,35 @@ class TestSharding:
         assert len(report.failures) == len(jobs)
         assert [f.index for f in report.failures] == list(range(len(jobs)))
         assert all(f.error_type == "ValueError" for f in report.failures)
+
+    @pytest.mark.parametrize(
+        "workers, job_fn, error_type",
+        [
+            pytest.param(1, second_shard_raises, "ValueError", id="raise-inline"),
+            pytest.param(2, second_shard_raises, "ValueError", id="raise-pooled"),
+            pytest.param(2, second_shard_crashes, "WorkerCrashed", id="crash-pooled"),
+        ],
+    )
+    def test_raise_policy_reports_every_member(
+        self, tiny_spec, workers, job_fn, error_type
+    ):
+        """Under ``on_error="raise"`` every shard still runs, then the
+        failed shard raises with one failure per member, each under its
+        own label and index."""
+        jobs = [
+            ExperimentJob(profile=get_profile("web"), drive=tiny_spec, span=1.0, seed=i)
+            for i in range(6)
+        ]
+        with pytest.raises(SuiteError) as excinfo:
+            ExperimentRunner(workers=workers).run_sharded(
+                jobs, shard_size=2, job_fn=job_fn
+            )
+        report = excinfo.value.report
+        assert [(f.index, f.label) for f in report.failures] == [
+            (i, jobs[i].label) for i in (2, 3)
+        ]
+        assert all(f.error_type == error_type for f in report.failures)
+        assert [r.seed for r in report.results] == [0, 1, 4, 5]
 
     def test_shard_result_round_trip(self, tiny_spec):
         jobs = experiment_matrix(

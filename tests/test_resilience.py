@@ -2,6 +2,7 @@
 the RSS watchdog."""
 
 import json
+import multiprocessing
 import os
 import signal
 import subprocess
@@ -11,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.core.chaos import ChaosPolicy
 from repro.core.journal import SuiteJournal
 from repro.core.runner import (
     ExperimentJob,
@@ -173,6 +175,33 @@ class TestSuiteDeadline:
         )
         assert report.deadline_exceeded
         assert report.n_completed < len(jobs)
+
+    def test_deadline_during_chaos_stall_leaks_no_worker(self, tiny_spec):
+        """A deadline that expires while chaos holds workers SIGSTOPped
+        returns promptly and leaves no stopped child behind."""
+        runner = ExperimentRunner(
+            workers=2,
+            chaos=ChaosPolicy(stall_prob=1.0, stall_seconds=30.0),
+            suite_deadline=0.5,
+        )
+        start = time.perf_counter()
+        try:
+            report = runner.run_suite(_suite_jobs(tiny_spec), job_fn=napping_job_fn)
+            wall = time.perf_counter() - start
+            leftover = multiprocessing.active_children()
+        finally:
+            # Never leave a stopped child to hang the interpreter at exit.
+            for child in multiprocessing.active_children():
+                try:
+                    os.kill(child.pid, signal.SIGCONT)
+                except ProcessLookupError:
+                    pass
+                child.kill()
+                child.join(5.0)
+        assert report.deadline_exceeded
+        assert report.resilience["chaos.stalls"] >= 1
+        assert leftover == []
+        assert wall < 1.5
 
     def test_validation(self):
         with pytest.raises(ResourceGuardError, match="suite_deadline"):

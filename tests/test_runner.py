@@ -2,6 +2,7 @@
 
 import os
 import signal
+import threading
 import time
 from pathlib import Path
 
@@ -77,6 +78,26 @@ def raise_then_crash_job_fn(job):
 def napping_job_fn(job):
     time.sleep(0.2)
     return run_job(job)
+
+
+def flaky_then_napping_job_fn(job):
+    """Raise on the first call, then succeed too slowly (past a short
+    ``job_timeout``) on the retry."""
+    flaky_marker = Path(os.environ["REPRO_TEST_FLAKY_MARKER"])
+    if not flaky_marker.exists():
+        flaky_marker.write_text("first attempt")
+        raise RuntimeError("transient failure")
+    return napping_job_fn(job)
+
+
+def lock_returning_job_fn(job):
+    """Return a result that cannot be pickled back to the parent."""
+    return threading.Lock()
+
+
+# A lambda has no importable name, so a job carrying it cannot be
+# pickled to a worker.
+UNSENDABLE_JOB_FNS = (lambda job: run_job(job),)
 
 
 @pytest.fixture(scope="module")
@@ -350,15 +371,65 @@ class TestFailurePaths:
         assert report.retries == 1
         assert same_result(report.results[0], run_job(seeded_jobs[0]))
 
-    def test_retries_exhausted_counts_attempts(self, seeded_jobs):
+    @pytest.mark.parametrize(
+        "workers, job_fn, bad_seed, job_timeout",
+        [
+            pytest.param(1, chaotic_job_fn, RAISING_SEEDS[0], None, id="raise-inline"),
+            pytest.param(2, chaotic_job_fn, RAISING_SEEDS[0], None, id="raise-pooled"),
+            pytest.param(2, self_killing_job_fn, KILLED_SEEDS[0], None, id="crash-pooled"),
+            pytest.param(2, chaotic_job_fn, SLEEPING_SEEDS[0], 0.2, id="timeout-pooled"),
+        ],
+    )
+    def test_retries_exhausted_counts_attempts(
+        self, seeded_jobs, workers, job_fn, bad_seed, job_timeout
+    ):
+        """However a job fails for good (in-worker raise, worker crash,
+        per-job timeout), every attempt shows in its ``attempts`` and in
+        the suite's ``retries``."""
+        jobs = seeded_jobs[bad_seed - 1:bad_seed + 2]
         runner = ExperimentRunner(
-            workers=1, max_retries=2, on_error="collect"
+            workers=workers, max_retries=2, job_timeout=job_timeout,
+            on_error="collect",
         )
-        job = seeded_jobs[RAISING_SEEDS[0]]
-        report = runner.run_suite([job], job_fn=chaotic_job_fn)
-        assert not report.ok
+        report = runner.run_suite(jobs, job_fn=job_fn)
+        assert [f.index for f in report.failures] == [1]
         assert report.failures[0].attempts == 3
-        assert report.retries == 2
+        assert report.retries == sum(f.attempts - 1 for f in report.failures) == 2
+
+    def test_inline_timeout_counts_the_attempts_it_used(
+        self, seeded_jobs, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv(
+            "REPRO_TEST_FLAKY_MARKER", str(tmp_path / "marker")
+        )
+        runner = ExperimentRunner(
+            workers=1, max_retries=1, job_timeout=0.05, on_error="collect"
+        )
+        report = runner.run_suite(
+            seeded_jobs[:1], job_fn=flaky_then_napping_job_fn
+        )
+        assert report.failures[0].error_type == "TimeoutError"
+        assert report.failures[0].attempts == 2
+        assert report.retries == 1
+
+    def test_unsendable_job_fails_without_hanging(self, seeded_jobs):
+        runner = ExperimentRunner(workers=2, on_error="collect")
+        start = time.monotonic()
+        report = runner.run_suite(seeded_jobs[:2], job_fn=UNSENDABLE_JOB_FNS[0])
+        assert time.monotonic() - start < 10.0
+        assert [f.index for f in report.failures] == [0, 1]
+        for failure in report.failures:
+            assert failure.error_type == "PicklingError"
+            assert "job could not be sent to a worker" in failure.message
+            assert failure.attempts == 1
+
+    def test_unsendable_result_becomes_a_failure(self, seeded_jobs):
+        runner = ExperimentRunner(workers=2, on_error="collect")
+        report = runner.run_suite(seeded_jobs[:2], job_fn=lock_returning_job_fn)
+        assert [f.index for f in report.failures] == [0, 1]
+        for failure in report.failures:
+            assert "job result could not be sent back" in failure.message
+            assert failure.label == seeded_jobs[failure.index].label
 
     def test_inline_timeout_post_hoc(self, seeded_jobs):
         runner = ExperimentRunner(
