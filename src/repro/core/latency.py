@@ -47,6 +47,16 @@ class LatencyAnalysis:
     max_queue_depth: int
 
 
+def _system_size_walk(result: SimulationResult) -> tuple:
+    """The system size N(t) as a step function: the arrival and finish
+    times in stable time order, and N just after each of them."""
+    n = len(result.trace)
+    events = np.concatenate([result.trace.times, result.finish_times])
+    deltas = np.concatenate([np.ones(n), -np.ones(n)])
+    order = np.argsort(events, kind="stable")
+    return events[order], np.cumsum(deltas[order])
+
+
 def queue_depth_series(result: SimulationResult, scale: float) -> np.ndarray:
     """Mean number of requests in the system per ``scale``-second window.
 
@@ -56,23 +66,14 @@ def queue_depth_series(result: SimulationResult, scale: float) -> np.ndarray:
     """
     if scale <= 0:
         raise AnalysisError(f"scale must be > 0, got {scale!r}")
-    trace = result.trace
-    if not len(trace):
+    if not len(result.trace):
         return np.zeros(0)
     span = result.timeline.span
-    # Event-sorted +1/-1 steps.
-    events = np.concatenate([trace.times, result.finish_times])
-    deltas = np.concatenate([np.ones(len(trace)), -np.ones(len(trace))])
-    order = np.argsort(events, kind="stable")
-    events, deltas = events[order], deltas[order]
-    # Integral of N(t) at each event boundary.
-    depth = np.cumsum(deltas)
-    # N(t) between events[i] and events[i+1] equals depth[i].
+    # N(t) between seg_starts[i] and seg_starts[i+1] equals seg_depths[i].
+    seg_starts, seg_depths = _system_size_walk(result)
     nbins = int(np.ceil(span / scale))
     edges = np.minimum(np.arange(nbins + 1) * scale, span)
     # Cumulative integral of N at arbitrary t.
-    seg_starts = events
-    seg_depths = depth
     cum = np.concatenate(
         [[0.0], np.cumsum(seg_depths[:-1] * np.diff(seg_starts))]
     )
@@ -110,10 +111,7 @@ def analyze_latency(result: SimulationResult) -> LatencyAnalysis:
         float(result.response_times.sum()) / span if span > 0 else float("nan")
     )
     # Peak depth from the event walk.
-    events = np.concatenate([trace.times, result.finish_times])
-    deltas = np.concatenate([np.ones(len(trace)), -np.ones(len(trace))])
-    order = np.argsort(events, kind="stable")
-    peak = int(np.cumsum(deltas[order]).max())
+    peak = int(_system_size_walk(result)[1].max())
 
     return LatencyAnalysis(
         response=describe(result.response_times),

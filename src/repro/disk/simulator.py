@@ -88,7 +88,7 @@ class SimulationResult:
         self.finish_times = start_times + service_times
         span = float(max(trace.span, self.finish_times.max())) if len(trace) else trace.span
         self.timeline = BusyIdleTimeline(
-            list(zip(self.start_times, self.finish_times)), span=span
+            np.column_stack((self.start_times, self.finish_times)), span=span
         )
         self.fault_events: Tuple[FaultEvent, ...] = tuple(fault_events)
         failed = np.zeros(len(trace), dtype=bool)

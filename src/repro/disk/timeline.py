@@ -10,11 +10,11 @@ utilization, busy-period lengths, and idle-interval lengths.
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
-
 import numpy as np
 
 from repro.errors import SimulationError
+
+_SHAPE_CONTRACT = "intervals must be an (n, 2) array of (start, end) pairs"
 
 
 class BusyIdleTimeline:
@@ -23,36 +23,50 @@ class BusyIdleTimeline:
     Parameters
     ----------
     intervals:
-        ``(start, end)`` pairs with ``0 <= start <= end``; they may abut
-        or overlap (they are merged) but are typically the back-to-back
-        service intervals a single-server simulation produces.
+        An ``(n, 2)`` array-like of finite ``(start, end)`` pairs with
+        ``0 <= start <= end``; they may abut or overlap (they are merged)
+        but are typically the back-to-back service intervals a
+        single-server simulation produces. Zero-length intervals are
+        dropped.
     span:
         Observation window length; must cover every interval.
     """
 
-    def __init__(self, intervals: Sequence[Tuple[float, float]], span: float) -> None:
+    def __init__(self, intervals: np.typing.ArrayLike, span: float) -> None:
         if span < 0:
             raise SimulationError(f"span must be >= 0, got {span!r}")
         self.span = float(span)
-        pairs = sorted((float(s), float(e)) for s, e in intervals)
-        merged_starts = []
-        merged_ends = []
-        for start, end in pairs:
+        try:
+            pairs = np.asarray(intervals, dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise SimulationError(f"{_SHAPE_CONTRACT}: {exc}") from None
+        if pairs.shape == (0,):
+            pairs = pairs.reshape(0, 2)
+        if pairs.ndim != 2 or pairs.shape[1] != 2:
+            raise SimulationError(f"{_SHAPE_CONTRACT}, got shape {pairs.shape}")
+        finite = np.isfinite(pairs).all(axis=1)
+        if not finite.all():
+            start, end = pairs[finite.argmin()].tolist()
+            raise SimulationError(f"interval [{start}, {end}] is not finite")
+        order = np.lexsort((pairs[:, 1], pairs[:, 0]))
+        starts, ends = pairs[order, 0], pairs[order, 1]
+        bad = (ends < starts) | (starts < 0) | (ends > self.span + 1e-9)
+        if bad.any():
+            i = bad.argmax()
+            start, end = float(starts[i]), float(ends[i])
             if end < start:
                 raise SimulationError(f"interval end {end!r} precedes start {start!r}")
-            if start < 0 or end > self.span + 1e-9:
-                raise SimulationError(
-                    f"interval [{start}, {end}] outside window [0, {self.span}]"
-                )
-            if start == end:
-                continue  # zero-length intervals carry no busy time
-            if merged_ends and start <= merged_ends[-1]:
-                merged_ends[-1] = max(merged_ends[-1], end)
-            else:
-                merged_starts.append(start)
-                merged_ends.append(end)
-        self._starts = np.asarray(merged_starts, dtype=np.float64)
-        self._ends = np.minimum(np.asarray(merged_ends, dtype=np.float64), self.span)
+            raise SimulationError(
+                f"interval [{start}, {end}] outside window [0, {self.span}]"
+            )
+        # Zero-length intervals carry no busy time. A busy period starts
+        # wherever an interval begins after every earlier one has ended.
+        busy = ends > starts
+        starts, ends = starts[busy], ends[busy]
+        new_period = starts[1:] > np.maximum.accumulate(ends)[:-1]
+        first = np.flatnonzero(np.concatenate(([starts.size > 0], new_period)))
+        self._starts = starts[first]
+        self._ends = np.minimum(np.maximum.reduceat(ends, first), self.span)
         self._starts.setflags(write=False)
         self._ends.setflags(write=False)
 
@@ -81,16 +95,8 @@ class BusyIdleTimeline:
         """Lengths of the idle intervals, seconds, including the leading
         interval before the first busy period and the trailing interval
         after the last one (when non-empty)."""
-        if self.n_busy_periods == 0:
-            return np.array([self.span]) if self.span > 0 else np.zeros(0)
-        gaps = self._starts[1:] - self._ends[:-1]
-        pieces = [gaps]
-        if self._starts[0] > 0:
-            pieces.insert(0, np.array([self._starts[0]]))
-        if self._ends[-1] < self.span:
-            pieces.append(np.array([self.span - self._ends[-1]]))
-        idle = np.concatenate(pieces) if pieces else np.zeros(0)
-        return idle[idle > 0]
+        gaps = self.idle_intervals()
+        return gaps[:, 1] - gaps[:, 0]
 
     def idle_intervals(self, min_length: float = 0.0) -> np.ndarray:
         """The idle intervals as an ``(n, 2)`` array of ``(start, end)``
@@ -103,23 +109,10 @@ class BusyIdleTimeline:
         """
         if min_length < 0:
             raise SimulationError(f"min_length must be >= 0, got {min_length!r}")
-        if self.n_busy_periods == 0:
-            if self.span > 0 and self.span >= min_length:
-                return np.array([[0.0, self.span]])
-            return np.zeros((0, 2))
-        pairs = []
-        if self._starts[0] > 0:
-            pairs.append((0.0, float(self._starts[0])))
-        for i in range(self.n_busy_periods - 1):
-            gap_start = float(self._ends[i])
-            gap_end = float(self._starts[i + 1])
-            if gap_end > gap_start:
-                pairs.append((gap_start, gap_end))
-        if self._ends[-1] < self.span:
-            pairs.append((float(self._ends[-1]), self.span))
-        if min_length > 0:
-            pairs = [(s, e) for s, e in pairs if e - s >= min_length]
-        return np.array(pairs) if pairs else np.zeros((0, 2))
+        gap_starts = np.concatenate(([0.0], self._ends))
+        gap_ends = np.concatenate((self._starts, [self.span]))
+        keep = (gap_ends > gap_starts) & (gap_ends - gap_starts >= min_length)
+        return np.column_stack((gap_starts[keep], gap_ends[keep]))
 
     @property
     def total_busy(self) -> float:

@@ -323,6 +323,23 @@ def serve_events(events: Iterable[EventLike]) -> List[TraceEvent]:
     return picked
 
 
+def _served_and_span(
+    events: Iterable[EventLike], span: Optional[float]
+) -> Tuple[List[TraceEvent], Optional[float]]:
+    """The serve events of a stream, plus ``span`` defaulted to the
+    ``run_end`` event's time when the stream has one."""
+    materialized = [_as_event(e) for e in events]
+    served = serve_events(materialized)
+    if span is None:
+        for event in materialized:
+            if event.kind == "run_end":
+                span = float(event.time)
+                break
+    if not served:
+        raise ObservabilityError("event stream holds no 'serve' events")
+    return served, span
+
+
 def request_trace_from_events(
     events: Iterable[EventLike],
     label: str = "events",
@@ -339,15 +356,7 @@ def request_trace_from_events(
     """
     from repro.traces.millisecond import RequestTrace
 
-    materialized = [_as_event(e) for e in events]
-    served = serve_events(materialized)
-    if span is None:
-        for event in materialized:
-            if event.kind == "run_end":
-                span = float(event.time)
-                break
-    if not served:
-        raise ObservabilityError("event stream holds no 'serve' events")
+    served, span = _served_and_span(events, span)
     return RequestTrace(
         times=[e.data["arrival"] for e in served],
         lbas=[e.data["lba"] for e in served],
@@ -367,17 +376,11 @@ def timeline_from_events(events: Iterable[EventLike], span: Optional[float] = No
     """
     from repro.disk.timeline import BusyIdleTimeline
 
-    materialized = [_as_event(e) for e in events]
-    served = serve_events(materialized)
-    if span is None:
-        for event in materialized:
-            if event.kind == "run_end":
-                span = float(event.time)
-                break
-    if not served:
-        raise ObservabilityError("event stream holds no 'serve' events")
-    intervals = [(e.time, e.time + float(e.data["service"])) for e in served]
-    last_finish = max(end for _, end in intervals)
+    served, span = _served_and_span(events, span)
+    starts = np.array([e.time for e in served], dtype=np.float64)
+    ends = starts + np.array([e.data["service"] for e in served], dtype=np.float64)
+    last_finish = float(ends.max())
     return BusyIdleTimeline(
-        intervals, span=last_finish if span is None else max(span, last_finish)
+        np.column_stack((starts, ends)),
+        span=last_finish if span is None else max(span, last_finish),
     )

@@ -150,6 +150,9 @@ class TestEventStream:
         assert timeline.utilization == pytest.approx(
             result.timeline.utilization, abs=1e-12
         )
+        assert np.array_equal(timeline.starts, result.timeline.starts)
+        assert np.array_equal(timeline.ends, result.timeline.ends)
+        assert timeline.span == result.timeline.span
 
 
 class TestStreamingInterplay:

@@ -5,6 +5,7 @@ import pytest
 
 from repro.disk.timeline import BusyIdleTimeline
 from repro.errors import SimulationError
+from repro.obs import load_events_jsonl, timeline_from_events
 
 
 class TestConstruction:
@@ -42,6 +43,38 @@ class TestConstruction:
     def test_negative_span_rejected(self):
         with pytest.raises(SimulationError):
             BusyIdleTimeline([], span=-1.0)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_interval_rejected(self, bad):
+        with pytest.raises(SimulationError, match=r"interval \[.*\] is not finite"):
+            BusyIdleTimeline([(bad, 1.0), (2.0, 3.0)], span=10.0)
+        with pytest.raises(SimulationError, match="is not finite"):
+            BusyIdleTimeline([(0.0, 1.0), (2.0, bad)], span=10.0)
+
+    def test_nan_service_event_rejected(self, tmp_path):
+        """JSON allows NaN, so a dumped event stream can carry one."""
+        path = tmp_path / "events.jsonl"
+        path.write_text(
+            '{"time": 1.0, "kind": "serve", "source": "sim",'
+            ' "data": {"index": 0, "service": NaN}}\n'
+            '{"time": 2.0, "kind": "serve", "source": "sim",'
+            ' "data": {"index": 1, "service": 0.5}}\n'
+            '{"time": 10.0, "kind": "run_end", "source": "sim", "data": {}}\n'
+        )
+        with pytest.raises(SimulationError, match=r"interval \[1\.0, nan\] is not finite"):
+            timeline_from_events(load_events_jsonl(str(path)))
+
+    def test_malformed_row_names_shape_contract(self):
+        with pytest.raises(SimulationError, match=r"\(n, 2\) array.*shape \(1, 3\)"):
+            BusyIdleTimeline([(0, 1, 2)], span=10.0)
+        with pytest.raises(SimulationError, match=r"\(n, 2\) array"):
+            BusyIdleTimeline([(0.0, 1.0), (2.0,)], span=10.0)
+
+    def test_column_array_accepted(self):
+        columns = np.column_stack(([2.0, 0.0, 1.0], [3.0, 1.0, 1.5]))
+        t = BusyIdleTimeline(columns, span=5.0)
+        assert t.starts.tolist() == [0.0, 2.0]
+        assert t.ends.tolist() == [1.5, 3.0]
 
 
 class TestAccounting:
