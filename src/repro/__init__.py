@@ -54,52 +54,5 @@ _EXPORTS = {
     ".core.timescales": ("CrossScaleStudy", "MillisecondStudy", "run_millisecond_study"),
 }
 
-__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
-
-__all__ = [
-    "__version__",
-    "ReproError",
-    # traces
-    "DiskRequest",
-    "RequestTrace",
-    "HourlyTrace",
-    "HourlyDataset",
-    "LifetimeRecord",
-    "DriveFamilyDataset",
-    # synth
-    "ArrivalSpec",
-    "WorkloadProfile",
-    "available_profiles",
-    "get_profile",
-    "HourlyWorkloadModel",
-    "FamilyModel",
-    # disk
-    "DriveSpec",
-    "DiskDrive",
-    "DiskSimulator",
-    "SimulationResult",
-    "BusyIdleTimeline",
-    "cheetah_10k",
-    "cheetah_15k",
-    "nearline_7200",
-    # core
-    "WorkloadSummary",
-    "summarize_trace",
-    "UtilizationAnalysis",
-    "analyze_utilization",
-    "IdlenessAnalysis",
-    "analyze_idleness",
-    "BusynessAnalysis",
-    "analyze_busyness",
-    "BurstinessAnalysis",
-    "analyze_burstiness",
-    "TrafficDynamics",
-    "analyze_traffic",
-    "HourScaleAnalysis",
-    "analyze_hour_scale",
-    "FamilyAnalysis",
-    "analyze_family",
-    "MillisecondStudy",
-    "run_millisecond_study",
-    "CrossScaleStudy",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), _EXPORTS)
+__all__.insert(0, "__version__")

@@ -15,14 +15,15 @@ from typing import Any, Callable, Dict, Iterable, List, Mapping, Tuple
 
 def lazy_exports(
     namespace: Dict[str, Any], table: Mapping[str, Iterable[str]]
-) -> Tuple[Callable[[str], Any], Callable[[], List[str]]]:
-    """Return the ``(__getattr__, __dir__)`` pair of a package.
+) -> Tuple[Callable[[str], Any], Callable[[], List[str]], List[str]]:
+    """Return the ``(__getattr__, __dir__, __all__)`` of a package.
 
     ``namespace`` is the package's ``globals()``; ``table`` maps a
     module path, relative to the package (``".summary"``), to the names
-    the package re-exports from it. The first access of a name imports
-    its module and caches the value in ``namespace``, so later accesses
-    are plain attribute lookups.
+    the package re-exports from it, so the table is the package's one
+    list of public names. The first access of a name imports its module
+    and caches the value in ``namespace``, so later accesses are plain
+    attribute lookups.
     """
     package = namespace["__name__"]
     owner = {name: module for module, names in table.items() for name in names}
@@ -41,4 +42,4 @@ def lazy_exports(
     def __dir__() -> List[str]:
         return sorted(set(namespace) | set(owner))
 
-    return __getattr__, __dir__
+    return __getattr__, __dir__, list(owner)

@@ -937,7 +937,8 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--max-retries", type=int, default=0,
-            help="extra attempts per failing job (default 0)",
+            help="extra attempts per failing job or shard, one budget "
+            "across raises, worker crashes and timeouts (default 0)",
         )
         p.add_argument(
             "--keep-going", action="store_true",
@@ -1075,6 +1076,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--trace-format", default="native",
+        choices=["native"] + sorted(_available_formats()),
         help="format of the --trace files: native or any ingest format "
         "(default: native)",
     )

@@ -65,87 +65,4 @@ _EXPORTS = {
     ".report": ("Table", "ascii_plot", "render_series"),
 }
 
-__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
-
-__all__ = [
-    "WorkloadSummary",
-    "summarize_trace",
-    "UtilizationAnalysis",
-    "analyze_utilization",
-    "IdlenessAnalysis",
-    "analyze_idleness",
-    "BusynessAnalysis",
-    "analyze_busyness",
-    "BurstinessAnalysis",
-    "analyze_burstiness",
-    "TrafficDynamics",
-    "analyze_traffic",
-    "HourScaleAnalysis",
-    "analyze_hour_scale",
-    "FamilyAnalysis",
-    "analyze_family",
-    "CrossScaleStudy",
-    "MillisecondStudy",
-    "run_millisecond_study",
-    "Table",
-    "ascii_plot",
-    "render_series",
-    "BackgroundTask",
-    "BackgroundRunReport",
-    "ScrubPlan",
-    "run_in_idle",
-    "chunk_size_sweep",
-    "plan_media_scrub",
-    "scrub_latent_regions",
-    "chunks_available",
-    "ComparisonResult",
-    "compare_studies",
-    "feature_vector",
-    "LatencyAnalysis",
-    "analyze_latency",
-    "queue_depth_series",
-    "response_ecdf",
-    "DegradedTailAnalysis",
-    "analyze_degraded_tail",
-    "TierTailAnalysis",
-    "analyze_tier_tail",
-    "tail_inflation",
-    "IdlePredictor",
-    "render_study_report",
-    "render_hour_report",
-    "render_family_report",
-    "SpatialAnalysis",
-    "analyze_spatial",
-    "zone_traffic",
-    "seek_distance_ecdf",
-    "StreamingCharacterizer",
-    "characterize_events",
-    "ForecastScore",
-    "seasonal_naive_forecast",
-    "seasonal_ewma_forecast",
-    "flat_mean_forecast",
-    "score_forecast",
-    "DriveAnomaly",
-    "self_anomalies",
-    "population_anomalies",
-    "inject_regime_change",
-    "run_suite",
-    "suite_table",
-    "BackoffPolicy",
-    "backoff_delays",
-    "ChaosPlan",
-    "ChaosPolicy",
-    "available_chaos_policies",
-    "get_chaos_policy",
-    "SuiteJournal",
-    "job_fingerprint",
-    "suite_fingerprint",
-    "ExperimentJob",
-    "ExperimentRunner",
-    "JobFailure",
-    "JobResult",
-    "SuiteReport",
-    "derive_seeds",
-    "experiment_matrix",
-    "run_job",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), _EXPORTS)

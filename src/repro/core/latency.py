@@ -10,7 +10,7 @@ reconstructs the queue-depth process from arrival/finish times.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -168,14 +168,27 @@ class DegradedTailAnalysis:
     max_response: float
 
 
-def _tail_stats(responses: np.ndarray) -> tuple:
-    """(mean, p99, p999, max) of a response sample; all-NaN when empty."""
+def _tail_stats(
+    responses: np.ndarray, quantiles: Sequence[float] = (0.99, 0.999)
+) -> tuple:
+    """(mean, *quantiles, max) of a response sample — by default (mean,
+    p99, p999, max) — from one sort; all-NaN when empty."""
     if responses.size == 0:
-        nan = float("nan")
-        return nan, nan, nan, nan
+        return (float("nan"),) * (len(quantiles) + 2)
     ordered = np.sort(responses)
-    p99, p999 = np.quantile(ordered, [0.99, 0.999])
-    return float(ordered.mean()), float(p99), float(p999), float(ordered[-1])
+    tails = np.quantile(ordered, quantiles)
+    return (float(ordered.mean()), *map(float, tails), float(ordered[-1]))
+
+
+def _inflation_ratio(degraded: float, healthy: float) -> float:
+    """``degraded / healthy`` with the :func:`tail_inflation` guards."""
+    if not (np.isfinite(degraded) and np.isfinite(healthy)):
+        return float("nan")
+    if degraded == 0.0 and healthy == 0.0:
+        return 1.0
+    if healthy <= 0.0:
+        return float("nan")
+    return degraded / healthy
 
 
 def analyze_degraded_tail(result: SimulationResult) -> DegradedTailAnalysis:
@@ -215,20 +228,11 @@ def tail_inflation(
     a non-finite numerator, e.g. the NaN statistics of an empty analysis
     — yields NaN.
     """
-    def ratio(d: float, h: float) -> float:
-        if not (np.isfinite(d) and np.isfinite(h)):
-            return float("nan")
-        if d == 0.0 and h == 0.0:
-            return 1.0
-        if h <= 0.0:
-            return float("nan")
-        return d / h
-
     return {
-        "mean": ratio(degraded.mean_response, healthy.mean_response),
-        "p99": ratio(degraded.p99_response, healthy.p99_response),
-        "p999": ratio(degraded.p999_response, healthy.p999_response),
-        "max": ratio(degraded.max_response, healthy.max_response),
+        "mean": _inflation_ratio(degraded.mean_response, healthy.mean_response),
+        "p99": _inflation_ratio(degraded.p99_response, healthy.p99_response),
+        "p999": _inflation_ratio(degraded.p999_response, healthy.p999_response),
+        "max": _inflation_ratio(degraded.max_response, healthy.max_response),
     }
 
 

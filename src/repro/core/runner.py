@@ -25,10 +25,11 @@ produces, so the runner carries a resilience layer:
   journal with ``resume=True`` skips the journaled jobs and merges their
   recorded results, canonically bit-identical to an uninterrupted run
   (:meth:`SuiteReport.canonical_json`).
-* **Crash/timeout resubmission** — a worker killed mid-job (OOM killer,
-  ``SIGKILL``) or overrunning its per-job timeout is respawned and the
-  job resubmitted, up to ``max_retries`` extra submissions, with the
-  shared :class:`~repro.core.backoff.BackoffPolicy` spacing attempts.
+* **One retry rule** — a worker runs one attempt per message, and the
+  parent alone retries: a job that raised, whose worker died (OOM
+  killer, ``SIGKILL``) or that overran its per-attempt timeout is
+  resubmitted, up to ``max_retries`` extra attempts, with the shared
+  :class:`~repro.core.backoff.BackoffPolicy` spacing them.
 * **Chaos injection** — a seeded
   :class:`~repro.core.chaos.ChaosPolicy` makes the runner torture its
   own pool (kills, stalls, delays); chaos-injected kills consume
@@ -298,6 +299,21 @@ class JobResult:
         return record
 
 
+def _job_simulator(job: ExperimentJob, obs: Optional[Observer] = None) -> DiskSimulator:
+    """A fresh :class:`DiskSimulator` configured by ``job``'s drive,
+    scheduler, seed, queue depth, engine, faults and tier."""
+    return DiskSimulator(
+        job.drive,
+        scheduler=job.scheduler,
+        seed=job.seed,
+        queue_depth=job.queue_depth,
+        fast_path=job.fast_path,
+        faults=job.faults,
+        tier=job.tier,
+        obs=obs,
+    )
+
+
 def run_job(job: ExperimentJob) -> JobResult:
     """Synthesize the job's trace, replay it, summarize. Module-level so
     worker processes can unpickle it.
@@ -341,16 +357,7 @@ def run_job(job: ExperimentJob) -> JobResult:
                 capacity_sectors=job.drive.capacity_sectors,
                 seed=job.seed,
             )
-    simulator = DiskSimulator(
-        job.drive,
-        scheduler=job.scheduler,
-        seed=job.seed,
-        queue_depth=job.queue_depth,
-        fast_path=job.fast_path,
-        faults=job.faults,
-        tier=job.tier,
-        obs=obs,
-    )
+    simulator = _job_simulator(job, obs)
     with phase("simulate"):
         result = simulator.run(trace)
     with phase("describe"):
@@ -513,12 +520,11 @@ class JobFailure:
         Formatted traceback of the final attempt (empty for timeouts,
         which are detected from the parent process).
     attempts:
-        How many times the job was tried before giving up: in-worker
-        retries plus every parent-side resubmission after a worker
-        crash or timeout (``SuiteReport.retries`` sums
+        How many times the job (or its shard) was tried before giving
+        up, whatever failed each time (``SuiteReport.retries`` sums
         ``attempts - 1``).
     wall_seconds:
-        Wall time spent on the job across every attempt.
+        Wall time of the final attempt.
     """
 
     label: str
@@ -544,22 +550,29 @@ def _failure(
     error_type: str,
     message: str,
     traceback: str = "",
-    attempts: int = 1,
     wall_seconds: float = 0.0,
 ) -> JobFailure:
-    """The one constructor of :class:`JobFailure`."""
+    """The one constructor of :class:`JobFailure`, for one attempt (the
+    runner stamps the job's attempt count when it resolves)."""
     return JobFailure(
         label=_job_label(job, index),
         index=index,
         error_type=error_type,
         message=message,
         traceback=traceback,
-        attempts=attempts,
+        attempts=1,
         wall_seconds=wall_seconds,
     )
 
 
 JobOutcome = Union[JobResult, JobFailure]
+
+
+def _failed(outcome: Any) -> bool:
+    """True for a :class:`JobFailure` and for a :class:`ShardResult`
+    with a failed member: the outcomes the runner retries and never
+    journals."""
+    return isinstance(outcome, JobFailure) or not getattr(outcome, "ok", True)
 
 #: ``progress(done, total, outcome)`` called after each job resolves.
 ProgressCallback = Callable[[int, int, JobOutcome], None]
@@ -943,8 +956,9 @@ class ShardResult:
 
     @property
     def ok(self) -> bool:
-        """True when every member produced a result (journal-worthy:
-        shards with failed members are re-run on resume)."""
+        """True when every member produced a result. A shard with a
+        failed member is retried whole and never journaled, so a resume
+        re-runs it."""
         return all(isinstance(o, JobResult) for o in self.outcomes)
 
     def as_dict(self) -> Dict[str, Any]:
@@ -970,32 +984,24 @@ class ShardResult:
 
 
 class _ShardRunner:
-    """Picklable ``job_fn`` over :class:`JobShard`: run every member
-    through :func:`_execute_job` (bounded member-level retries, errors
-    captured as :class:`JobFailure`) and return a :class:`ShardResult`.
-    Module-level class, not a closure, so pooled workers can unpickle
-    it."""
+    """Picklable ``job_fn`` over :class:`JobShard`: run every member once
+    through :func:`_attempt` (errors captured as :class:`JobFailure`) and
+    return a :class:`ShardResult`. Module-level class, not a closure, so
+    pooled workers can unpickle it."""
 
-    __slots__ = ("job_fn", "max_retries", "backoff")
+    __slots__ = ("job_fn",)
 
-    def __init__(
-        self,
-        job_fn: Callable[[ExperimentJob], JobResult],
-        max_retries: int = 0,
-        backoff: Optional[BackoffPolicy] = None,
-    ) -> None:
+    def __init__(self, job_fn: Callable[[ExperimentJob], JobResult]) -> None:
         self.job_fn = job_fn
-        self.max_retries = max_retries
-        self.backoff = backoff
 
     def __call__(self, shard: JobShard) -> ShardResult:
-        outcomes = []
-        for index, job in zip(shard.indices, shard.jobs):
-            _, outcome, _, _ = _execute_job(
-                self.job_fn, job, index, self.max_retries, self.backoff
-            )
-            outcomes.append(outcome)
-        return ShardResult(indices=shard.indices, outcomes=tuple(outcomes))
+        return ShardResult(
+            indices=shard.indices,
+            outcomes=tuple(
+                _attempt(self.job_fn, job, index)[0]
+                for index, job in zip(shard.indices, shard.jobs)
+            ),
+        )
 
 
 def _rss_bytes() -> int:
@@ -1013,55 +1019,42 @@ def _rss_bytes() -> int:
         return 0
 
 
-def _execute_job(
+def _attempt(
     job_fn: Callable[[ExperimentJob], JobResult],
     job: ExperimentJob,
     index: int,
-    max_retries: int,
-    backoff: Optional[BackoffPolicy] = None,
-) -> Tuple[int, JobOutcome, int, float]:
-    """Run one job with bounded retries, capturing any exception.
+) -> Tuple[JobOutcome, float]:
+    """Run one attempt of one job: ``(outcome, wall_seconds)``.
 
-    Returns ``(index, outcome, attempts, wall_seconds)``. Module-level so
-    worker processes can unpickle it; never raises (errors become
-    :class:`JobFailure`), so a bad job cannot poison the pool. Retries
-    are spaced by ``backoff`` (seeded exponential with jitter, keyed by
-    the job index so concurrent retriers decorrelate).
+    Never raises (errors become :class:`JobFailure`), so a bad job cannot
+    poison the pool; whether to try again is the parent's decision
+    (:meth:`ExperimentRunner._retry_delay`).
     """
     start = perf_counter()
-    attempt = 0
-    while True:
-        attempt += 1
-        try:
-            result = job_fn(job)
-        except Exception as exc:  # deliberate blanket capture at the seam
-            if attempt <= max_retries:
-                if backoff is not None:
-                    delay = backoff.delay(attempt, key=index)
-                    if delay > 0:
-                        sleep(delay)
-                continue
-            wall = perf_counter() - start
-            failure = _failure(
-                job, index, type(exc).__name__, str(exc),
-                traceback_module.format_exc(), attempt, wall,
-            )
-            return index, failure, attempt, wall
-        return index, result, attempt, perf_counter() - start
+    try:
+        result = job_fn(job)
+    except Exception as exc:  # deliberate blanket capture at the seam
+        wall = perf_counter() - start
+        failure = _failure(
+            job, index, type(exc).__name__, str(exc),
+            traceback_module.format_exc(), wall,
+        )
+        return failure, wall
+    return result, perf_counter() - start
 
 
 def _pool_worker(conn) -> None:
     """Loop of one pooled worker process: receive ``(job_fn, job, index,
-    max_retries, backoff, chaos_delay)`` messages, sleep out the chaos
-    delay, run the job through :func:`_execute_job`, send the outcome
-    back. A ``None`` message (or a closed pipe) shuts the worker down.
-    Module-level so the ``spawn`` start method can import it.
+    chaos_delay)`` messages, sleep out the chaos delay, run one
+    :func:`_attempt`, send the outcome back. A ``None`` message (or a
+    closed pipe) shuts the worker down. Module-level so the ``spawn``
+    start method can import it.
 
-    Replies are ``(index, outcome, attempts, wall, rss_bytes)`` — the
-    RSS reading feeds the parent-side memory watchdog. If an outcome
-    cannot travel back (unpicklable result), a :class:`JobFailure`
-    describing the transport error is sent instead — the parent never
-    hangs waiting for a reply.
+    Replies are ``(index, outcome, wall, rss_bytes)`` — the RSS reading
+    feeds the parent-side memory watchdog. If an outcome cannot travel
+    back (unpicklable result), a :class:`JobFailure` describing the
+    transport error is sent instead — the parent never hangs waiting for
+    a reply.
     """
     try:
         while True:
@@ -1071,21 +1064,19 @@ def _pool_worker(conn) -> None:
                 break
             if message is None:
                 break
-            job_fn, job, index, max_retries, backoff, chaos_delay = message
+            job_fn, job, index, chaos_delay = message
             if chaos_delay > 0:
                 sleep(chaos_delay)
-            index, outcome, n_attempts, wall = _execute_job(
-                job_fn, job, index, max_retries, backoff
-            )
+            outcome, wall = _attempt(job_fn, job, index)
             try:
-                conn.send((index, outcome, n_attempts, wall, _rss_bytes()))
+                conn.send((index, outcome, wall, _rss_bytes()))
             except Exception as exc:  # result transport failure
                 failure = _failure(
                     job, index, type(exc).__name__,
                     f"job result could not be sent back: {exc}",
-                    traceback_module.format_exc(), n_attempts, wall,
+                    traceback_module.format_exc(), wall,
                 )
-                conn.send((index, failure, n_attempts, wall, _rss_bytes()))
+                conn.send((index, failure, wall, _rss_bytes()))
     finally:
         conn.close()
 
@@ -1194,21 +1185,21 @@ class ExperimentRunner:
         multiprocessing at all (deterministic, debugger-friendly, and the
         right choice inside already-parallel harnesses).
     max_retries:
-        Extra attempts per job after its first failure, covering both
-        in-worker exceptions (retried inside the worker, spaced by
-        ``retry_backoff``) and parent-side resubmissions after a worker
-        crash or per-job timeout. A deterministic failure therefore
-        fails ``max_retries + 1`` times; the knob exists for transient
-        causes (OOM kills, flaky I/O, chaos).
+        Extra attempts per job (per shard in :meth:`run_sharded`): one
+        budget across every failure kind — an exception, a worker
+        crash, a timeout, a shard with a failed member. Only the parent
+        retries, spaced by ``retry_backoff`` (:meth:`_retry_delay`), so
+        a job's attempts are its submissions. A deterministic failure
+        therefore fails ``max_retries + 1`` times; the knob exists for
+        transient causes (OOM kills, flaky I/O, chaos).
     job_timeout:
-        Per-job wall-clock budget in seconds, covering every attempt of
-        one submission. In pooled mode an overrunning job's worker is
-        terminated on the spot and replaced with a fresh one, and the
-        job is resubmitted while retry budget remains, else reported as
-        a :class:`JobFailure` with ``error_type="TimeoutError"``. Inline
+        Wall-clock budget of each attempt, in seconds. In pooled mode an
+        overrunning job's worker is terminated on the spot and replaced
+        with a fresh one, and the attempt counts as a failure. Inline
         mode cannot preempt a running job, so the timeout is applied
-        after the fact: a job whose wall time exceeded the budget is
-        reported as timed out even if it eventually returned.
+        after the fact: an attempt whose wall time exceeded the budget
+        fails as timed out even if it eventually returned. A job out of
+        retries is reported with ``error_type="TimeoutError"``.
     on_error:
         ``"raise"`` (default) stops submitting after the first failure,
         drains in-flight jobs, and raises :class:`SuiteError` carrying
@@ -1221,9 +1212,9 @@ class ExperimentRunner:
         (resubmitted without consuming ``max_retries``), capped at the
         policy's ``max_faults_per_job``, and skip the backoff ladder: an
         injected kill is resubmitted after at most ``retry_backoff.base``
-        seconds, while real crashes and timeouts wait out the ladder
-        rung of their own count. Inline mode applies only the
-        worker-side delay leg.
+        seconds, while every other failure waits out the ladder rung of
+        its own count. Inline mode applies only the worker-side delay
+        leg.
     suite_deadline:
         Optional whole-suite wall-clock budget in seconds. When it
         expires the runner stops submitting, abandons in-flight jobs and
@@ -1236,8 +1227,8 @@ class ExperimentRunner:
         with a fresh process) before it can drag the host into swap; the
         completed job is kept.
     retry_backoff:
-        The :class:`~repro.core.backoff.BackoffPolicy` spacing retry
-        attempts and crash resubmissions (default
+        The :class:`~repro.core.backoff.BackoffPolicy` spacing retries
+        (default
         :data:`DEFAULT_RETRY_BACKOFF`; the same helper drives the
         drive-level fault retry ladder, so all backoff in the repo
         shares one implementation).
@@ -1306,6 +1297,14 @@ class ExperimentRunner:
         workers = self.workers if self.workers is not None else (os.cpu_count() or 1)
         return max(1, min(workers, n_jobs))
 
+    def _retry_delay(self, index: int, failures: int) -> Optional[float]:
+        """The one retry rule of both modes: seconds to wait before
+        retrying unit ``index`` after its ``failures``-th charged
+        failure, or ``None`` once ``max_retries`` is spent."""
+        if failures > self.max_retries:
+            return None
+        return self.retry_backoff.delay(failures, key=index)
+
     def run(
         self,
         jobs: Sequence[ExperimentJob],
@@ -1347,7 +1346,7 @@ class ExperimentRunner:
         pass :meth:`ShardResult.from_dict`.
         """
         start = perf_counter()
-        outcomes, workers, retries, counters = self._execute(
+        outcomes, attempts, workers, counters = self._execute(
             list(jobs),
             job_fn if job_fn is not None else run_job,
             progress,
@@ -1356,7 +1355,7 @@ class ExperimentRunner:
             start,
             fail_fast=self.on_error == "raise",
         )
-        return self._report(outcomes, workers, retries, counters, start)
+        return self._report(outcomes, attempts, workers, counters, start)
 
     def run_sharded(
         self,
@@ -1376,8 +1375,9 @@ class ExperimentRunner:
         :class:`SuiteReport`.
 
         **Determinism guarantee** (normative, asserted by tests and
-        ``BENCH_fleet.json``): every member job is simulated exactly
-        once with its own seed, and the merged report's
+        ``BENCH_fleet.json``): every member job's result comes from one
+        simulation with its own seed (a retried shard re-runs its
+        deterministic members), and the merged report's
         :meth:`SuiteReport.canonical_json` is byte-identical whatever
         the worker count or ``shard_size`` — only wall-clock and
         environment fields may differ.
@@ -1385,8 +1385,10 @@ class ExperimentRunner:
         ``journal`` must have been opened over ``shard_jobs(jobs,
         shard_size)`` (the shard is the checkpoint unit); resuming with
         a different ``shard_size`` changes the fingerprints and the
-        journal refuses them. Shards with failed members are not
-        journaled, so a resume re-runs them. ``shard_size`` must never
+        journal refuses them. A shard with a failed member is retried
+        whole (``max_retries`` counts per shard, and a member that fails
+        for good carries its shard's attempts); such a shard is not
+        journaled, so a resume re-runs it. ``shard_size`` must never
         be derived from machine properties (CPU count), or journals
         stop being portable across hosts.
         """
@@ -1412,9 +1414,9 @@ class ExperimentRunner:
 
         # Every shard runs whatever ``on_error`` says; a failure raises
         # only once the member report below is complete.
-        shard_outcomes, workers, retries, counters = self._execute(
+        shard_outcomes, attempts, workers, counters = self._execute(
             shards,
-            _ShardRunner(fn, self.max_retries, self.retry_backoff),
+            _ShardRunner(fn),
             shard_progress,
             journal,
             ShardResult.from_dict,
@@ -1422,7 +1424,7 @@ class ExperimentRunner:
             fail_fast=False,
         )
         outcomes: List[Optional[JobOutcome]] = [None] * n
-        for shard, outcome in zip(shards, shard_outcomes):
+        for shard, outcome, n_attempts in zip(shards, shard_outcomes, attempts):
             if isinstance(outcome, JobFailure):
                 # The whole shard failed before producing member outcomes
                 # (worker crash, timeout, unpicklable dispatch): expand to
@@ -1433,8 +1435,10 @@ class ExperimentRunner:
                     )
             elif outcome is not None:
                 for index, member in zip(outcome.indices, outcome.outcomes):
+                    if isinstance(member, JobFailure):
+                        member = replace(member, attempts=n_attempts)
                     outcomes[index] = member
-        return self._report(outcomes, workers, retries, counters, start)
+        return self._report(outcomes, attempts, workers, counters, start)
 
     # ------------------------------------------------------------------
     # Execution strategies
@@ -1449,11 +1453,12 @@ class ExperimentRunner:
         result_decoder: Optional[Callable[[Mapping[str, Any]], Any]],
         start: float,
         fail_fast: bool,
-    ) -> Tuple[List[Optional[Any]], int, int, MetricsRegistry]:
+    ) -> Tuple[List[Optional[Any]], List[int], int, MetricsRegistry]:
         """Resume from ``journal``, then run the pending jobs inline or
-        pooled. Returns ``(outcomes, workers, retries, counters)`` with
-        one outcome slot per job (``None`` when it never resolved). With
-        ``fail_fast`` the first failure stops further submission."""
+        pooled. Returns ``(outcomes, attempts, workers, counters)`` with
+        one outcome slot and one attempt count per job (``None`` and 0
+        when it never resolved here). With ``fail_fast`` the first
+        failure stops further submission."""
         decode = (
             result_decoder
             if result_decoder is not None
@@ -1486,16 +1491,15 @@ class ExperimentRunner:
         )
 
         def resolve(index: int, outcome: JobOutcome, n_attempts: int) -> bool:
-            """Record one outcome; True when submission must stop."""
+            """Record one final outcome after ``n_attempts`` attempts;
+            True when submission must stop."""
             nonlocal done
+            if isinstance(outcome, JobFailure):
+                outcome = replace(outcome, attempts=n_attempts)
             outcomes[index] = outcome
             attempts[index] = n_attempts
             done += 1
-            if (
-                journal is not None
-                and not isinstance(outcome, JobFailure)
-                and getattr(outcome, "ok", True)
-            ):
+            if journal is not None and not _failed(outcome):
                 journal.record(index, outcome.as_dict())
                 counters.counter("journal.recorded").inc()
             if progress is not None:
@@ -1509,19 +1513,19 @@ class ExperimentRunner:
                 self._run_pool(
                     jobs, fn, pending, resolve, counters, deadline_at, workers
                 )
-        return outcomes, workers, sum(max(0, a - 1) for a in attempts), counters
+        return outcomes, attempts, workers, counters
 
     def _report(
         self,
         outcomes: List[Optional[Any]],
+        attempts: List[int],
         workers: int,
-        retries: int,
         counters: MetricsRegistry,
         start: float,
     ) -> SuiteReport:
-        """Build the suite's report from its outcome slots; under
-        ``on_error="raise"`` a failure raises :class:`SuiteError`
-        carrying the report instead."""
+        """Build the suite's report from its outcome slots and attempt
+        counts; under ``on_error="raise"`` a failure raises
+        :class:`SuiteError` carrying the report instead."""
         resilience = {
             name: counter.value
             for name, counter in sorted(counters.counters.items())
@@ -1536,7 +1540,7 @@ class ExperimentRunner:
             failures=tuple(o for o in outcomes if isinstance(o, JobFailure)),
             n_jobs=len(outcomes),
             workers=workers,
-            retries=retries,
+            retries=sum(max(0, a - 1) for a in attempts),
             wall_seconds=perf_counter() - start,
             deadline_exceeded="suite.deadline_hits" in counters.counters,
             resilience=resilience or None,
@@ -1550,14 +1554,12 @@ class ExperimentRunner:
             )
         return report
 
-    def _timeout_failure(
-        self, job: Any, index: int, wall: float, attempts: int
-    ) -> JobFailure:
+    def _timeout_failure(self, job: Any, index: int, wall: float) -> JobFailure:
         return _failure(
             job, index, "TimeoutError",
             f"job exceeded the per-job timeout of {self.job_timeout} s "
             f"(ran {wall:.3f} s)",
-            attempts=attempts, wall_seconds=wall,
+            wall_seconds=wall,
         )
 
     def _run_inline(
@@ -1570,28 +1572,33 @@ class ExperimentRunner:
         deadline_at: Optional[float],
     ) -> None:
         for i in pending:
-            if deadline_at is not None and perf_counter() >= deadline_at:
-                counters.counter("suite.deadline_hits").inc()
-                return
-            if self.chaos is not None:
-                # Inline mode has no worker process to kill or stall;
-                # only the worker-side chaos legs apply.
-                plan = self.chaos.plan(i, 1)
-                if plan.delay > 0:
-                    counters.counter("chaos.delays").inc()
-                    sleep(plan.delay)
-            _, outcome, n_attempts, wall = _execute_job(
-                fn, jobs[i], i, self.max_retries, self.retry_backoff
-            )
-            if (
-                self.job_timeout is not None
-                and wall > self.job_timeout
-                and not isinstance(outcome, JobFailure)
-            ):
-                # Inline mode cannot preempt a running job, so the
-                # timeout is applied after the fact.
-                counters.counter("suite.timeouts").inc()
-                outcome = self._timeout_failure(jobs[i], i, wall, n_attempts)
+            n_attempts = 0
+            while True:
+                if deadline_at is not None and perf_counter() >= deadline_at:
+                    counters.counter("suite.deadline_hits").inc()
+                    return
+                n_attempts += 1
+                if self.chaos is not None:
+                    # Inline mode has no worker process to kill or stall;
+                    # only the worker-side chaos legs apply.
+                    plan = self.chaos.plan(i, n_attempts)
+                    if plan.delay > 0:
+                        counters.counter("chaos.delays").inc()
+                        sleep(plan.delay)
+                outcome, wall = _attempt(fn, jobs[i], i)
+                if (
+                    self.job_timeout is not None
+                    and wall > self.job_timeout
+                    and not isinstance(outcome, JobFailure)
+                ):
+                    # Inline mode cannot preempt a running job, so the
+                    # timeout is applied after the fact.
+                    counters.counter("suite.timeouts").inc()
+                    outcome = self._timeout_failure(jobs[i], i, wall)
+                delay = self._retry_delay(i, n_attempts) if _failed(outcome) else None
+                if delay is None:
+                    break
+                sleep(delay)
             if resolve(i, outcome, n_attempts):
                 return
 
@@ -1611,15 +1618,14 @@ class ExperimentRunner:
         )
         queue = deque(pending)
         retry_at: Dict[int, float] = {}       # earliest resubmission time
-        submissions: Dict[int, int] = {}      # pool submissions per job
-        prior_attempts: Dict[int, int] = {}   # attempts spent on dead submissions
-        hard_faults: Dict[int, int] = {}      # crash/timeouts charged to budget
+        submissions: Dict[int, int] = {}      # attempts per job
+        failures: Dict[int, int] = {}         # failures charged to budget
         chaos_faults: Dict[int, int] = {}     # budget-exempt injected faults
         # One outstanding job per worker so a submitted job starts
-        # immediately and the per-job timeout clock measures execution,
+        # immediately and the per-attempt timeout clock measures execution,
         # not queueing.
         busy: Dict[int, _BusyJob] = {}
-        resolved: List[Tuple[int, JobOutcome, int]] = []
+        resolved: List[Tuple[int, JobOutcome]] = []
         stop_submitting = False
 
         def spawn() -> _PoolWorker:
@@ -1631,60 +1637,51 @@ class ExperimentRunner:
             child_conn.close()
             return _PoolWorker(process, parent_conn)
 
-        def requeue(index: int, entry: "_BusyJob", now: float) -> bool:
-            """Resubmit a crashed/timed-out job if budget allows.
+        def requeue(index: int, failure: Any, now: float,
+                    injected: bool = False) -> None:
+            """Every failed attempt lands here (a failed reply, a lost
+            worker, an unsendable job): requeue the job if
+            :meth:`_retry_delay` allows, else resolve it as failed.
 
             Chaos-injected kills are budget-exempt up to the policy's
-            per-job fault cap and wait only ``retry_backoff.base``; real
-            crashes and timeouts consume the normal ``max_retries``
-            budget and climb the backoff ladder by their own count.
-            Returns True when the job was requeued."""
-            injected = entry.chaos_killed
+            per-job fault cap and wait only ``retry_backoff.base``."""
             if injected:
                 chaos_faults[index] = chaos_faults.get(index, 0) + 1
-                if chaos_faults[index] > self.chaos.max_faults_per_job:
-                    injected = False  # cap reached: charge the budget
-            if not injected:
-                hard_faults[index] = hard_faults.get(index, 0) + 1
-                if hard_faults[index] > self.max_retries:
-                    return False
-            prior_attempts[index] = prior_attempts.get(index, 0) + 1
-            counters.counter("suite.resubmissions").inc()
+                injected = chaos_faults[index] <= self.chaos.max_faults_per_job
             if injected:
-                retry_at[index] = now + self.retry_backoff.base
+                delay: Optional[float] = self.retry_backoff.base
             else:
-                retry_at[index] = now + self.retry_backoff.delay(
-                    hard_faults[index], key=index
-                )
+                failures[index] = failures.get(index, 0) + 1
+                delay = self._retry_delay(index, failures[index])
+            if delay is None:
+                resolved.append((index, failure))
+                return
+            counters.counter("suite.resubmissions").inc()
+            retry_at[index] = now + delay
             queue.append(index)
-            return True
 
         def lose_worker(index: int, counter: str, now: float) -> None:
             """The one way a busy worker is lost mid-job, whether it died
             (pipe EOF or sentinel exit) or overran ``job_timeout``: count
             it under ``counter``, kill and reap the worker, spawn its
-            replacement, then requeue the job or resolve it as failed
-            with every submission counted in its attempts."""
+            replacement, then requeue the failed attempt."""
             entry = busy.pop(index)
             counters.counter(counter).inc()
             exitcode = entry.worker.process.exitcode
             entry.kill()
             entry.worker.reap()
             idle.append(spawn())
-            if requeue(index, entry, now):
-                return
             wall = now - entry.submitted
-            n_attempts = prior_attempts.get(index, 0) + 1
             if counter == "suite.timeouts":
-                failure = self._timeout_failure(jobs[index], index, wall, n_attempts)
+                failure = self._timeout_failure(jobs[index], index, wall)
             else:
                 failure = _failure(
                     jobs[index], index, "WorkerCrashed",
                     f"worker process exited with code {exitcode} mid-job "
                     "(killed or crashed without raising)",
-                    attempts=n_attempts, wall_seconds=wall,
+                    wall_seconds=wall,
                 )
-            resolved.append((index, failure, n_attempts))
+            requeue(index, failure, now, entry.chaos_killed)
 
         idle: List[_PoolWorker] = [spawn() for _ in range(workers)]
         try:
@@ -1716,10 +1713,7 @@ class ExperimentRunner:
                         elif plan.delay > 0:
                             chaos_delay = plan.delay
                             counters.counter("chaos.delays").inc()
-                    message = (
-                        fn, jobs[i], i, self.max_retries,
-                        self.retry_backoff, chaos_delay,
-                    )
+                    message = (fn, jobs[i], i, chaos_delay)
                     try:
                         worker.conn.send(message)
                     except Exception:
@@ -1733,13 +1727,12 @@ class ExperimentRunner:
                             worker.conn.send(message)
                         except Exception as exc:
                             idle.append(worker)
-                            n_attempts = prior_attempts.get(i, 0) + 1
                             failure = _failure(
                                 jobs[i], i, type(exc).__name__,
                                 f"job could not be sent to a worker: {exc}",
-                                traceback_module.format_exc(), n_attempts,
+                                traceback_module.format_exc(),
                             )
-                            resolved.append((i, failure, n_attempts))
+                            requeue(i, failure, now)
                             continue
                     busy[i] = _BusyJob(worker, perf_counter(), plan)
                 now = perf_counter()
@@ -1786,11 +1779,7 @@ class ExperimentRunner:
                         # A stalled worker that still replied must not be
                         # parked in the idle pool frozen.
                         entry.resume()
-                        _, outcome, n_attempts, _, rss = reply
-                        prior = prior_attempts.get(i, 0)
-                        n_attempts += prior
-                        if prior and isinstance(outcome, JobFailure):
-                            outcome = replace(outcome, attempts=n_attempts)
+                        _, outcome, _, rss = reply
                         if (
                             self.rss_limit_mb is not None
                             and rss > self.rss_limit_mb * 1024 * 1024
@@ -1802,7 +1791,10 @@ class ExperimentRunner:
                             worker = spawn()
                             counters.counter("guard.workers_recycled").inc()
                         idle.append(worker)
-                        resolved.append((i, outcome, n_attempts))
+                        if _failed(outcome):
+                            requeue(i, outcome, now)
+                        else:
+                            resolved.append((i, outcome))
                     elif exited:
                         lose_worker(i, "suite.worker_crashes", now)
                     elif (
@@ -1811,8 +1803,8 @@ class ExperimentRunner:
                     ):
                         lose_worker(i, "suite.timeouts", now)
                 if resolved:
-                    for i, outcome, n_attempts in resolved:
-                        if resolve(i, outcome, n_attempts):
+                    for i, outcome in resolved:
+                        if resolve(i, outcome, submissions[i]):
                             stop_submitting = True
                     resolved.clear()
                     continue

@@ -32,44 +32,4 @@ _EXPORTS = {
     ".raid5": ("Raid5Array", "write_amplification"),
 }
 
-__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
-
-__all__ = [
-    "DiskGeometry",
-    "Zone",
-    "SeekProfile",
-    "rotation_time",
-    "transfer_time",
-    "CacheConfig",
-    "DiskCache",
-    "FcfsScheduler",
-    "SstfScheduler",
-    "ScanScheduler",
-    "make_scheduler",
-    "DiskDrive",
-    "DriveSpec",
-    "cheetah_10k",
-    "cheetah_15k",
-    "nearline_7200",
-    "DiskSimulator",
-    "SimulationResult",
-    "FaultEvent",
-    "FaultModel",
-    "FaultProfile",
-    "available_fault_profiles",
-    "get_fault_profile",
-    "light_faults",
-    "moderate_faults",
-    "severe_faults",
-    "BusyIdleTimeline",
-    "PowerProfile",
-    "EnergyReport",
-    "baseline_energy",
-    "evaluate_spin_down",
-    "sweep_timeouts",
-    "StripedArray",
-    "MirroredPair",
-    "member_imbalance",
-    "Raid5Array",
-    "write_amplification",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), _EXPORTS)

@@ -21,28 +21,4 @@ _EXPORTS = {
     ".tenant": ("DEFAULT_TENANT_PROFILES", "TenantLoad", "sample_tenants", "tenant_from_trace"),
 }
 
-__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
-
-__all__ = [
-    "DEFAULT_TENANT_PROFILES",
-    "PLACEMENT_POLICIES",
-    "FleetPlacement",
-    "FleetPlan",
-    "FleetScrubPlan",
-    "FleetSpec",
-    "TenantColumns",
-    "TenantLoad",
-    "allocate_idle_budget",
-    "build_fleet_plan",
-    "combine_columns",
-    "interference_report",
-    "place_tenants",
-    "plan_fleet_scrub",
-    "qos_entry",
-    "run_fleet",
-    "sample_tenants",
-    "synthesize_tenant_columns",
-    "tenant_from_trace",
-    "tenant_qos_from_result",
-    "volume_layout",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), _EXPORTS)

@@ -10,20 +10,19 @@ Two views of a tenant's experience:
   isolated tail to the co-located one. ``p99_inflation > 1`` means the
   tenant's p99 got worse because of its neighbors.
 
-Inflation ratios follow the :func:`repro.core.latency.tail_inflation`
-guards: NaN when either side is non-finite or the baseline is zero with
-a nonzero numerator, and 1.0 when both sides are zero.
+Inflation ratios use the :func:`repro.core.latency.tail_inflation`
+guards: 1.0 when both sides are zero, else NaN when either side is
+non-finite or the baseline is not positive.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Any, Dict, Mapping, Sequence
 
 import numpy as np
 
-from repro.core.latency import _tail_stats
-from repro.disk.simulator import DiskSimulator
+from repro.core.latency import _inflation_ratio, _tail_stats
+from repro.core.runner import _job_simulator
 from repro.fleet.multiplex import TenantColumns, combine_columns
 from repro.fleet.tenant import TenantLoad
 
@@ -31,8 +30,7 @@ from repro.fleet.tenant import TenantLoad
 def qos_entry(responses: np.ndarray) -> Dict[str, float]:
     """Tail summary of one tenant's response-time sample."""
     responses = np.asarray(responses, dtype=np.float64)
-    mean, p99, p999, maximum = _tail_stats(responses)
-    p95 = float(np.quantile(responses, 0.95)) if responses.size else float("nan")
+    mean, p95, p99, p999, maximum = _tail_stats(responses, (0.95, 0.99, 0.999))
     return {
         "n_requests": int(responses.size),
         "mean_response": mean,
@@ -61,14 +59,6 @@ def tenant_qos_from_result(
     return out
 
 
-def _inflation(colocated: float, isolated: float) -> float:
-    if not (math.isfinite(colocated) and math.isfinite(isolated)):
-        return float("nan")
-    if isolated == 0.0:
-        return 1.0 if colocated == 0.0 else float("nan")
-    return colocated / isolated
-
-
 def interference_report(
     job: Any,
     columns: Sequence[TenantColumns],
@@ -87,16 +77,7 @@ def interference_report(
             columns, span=column.span, capacity_sectors=job.drive.capacity_sectors,
             subset=(k,),
         )
-        simulator = DiskSimulator(
-            job.drive,
-            scheduler=job.scheduler,
-            seed=job.seed,
-            queue_depth=job.queue_depth,
-            fast_path=job.fast_path,
-            faults=job.faults,
-            tier=job.tier,
-        )
-        result = simulator.run(trace)
+        result = _job_simulator(job).run(trace)
         _, iso_p99, iso_p999, _ = _tail_stats(
             np.asarray(result.response_times, dtype=np.float64)
         )
@@ -105,9 +86,11 @@ def interference_report(
             "n_requests": int(entry["n_requests"]),
             "isolated_p99": iso_p99,
             "colocated_p99": float(entry["p99_response"]),
-            "p99_inflation": _inflation(float(entry["p99_response"]), iso_p99),
+            "p99_inflation": _inflation_ratio(float(entry["p99_response"]), iso_p99),
             "isolated_p999": iso_p999,
             "colocated_p999": float(entry["p999_response"]),
-            "p999_inflation": _inflation(float(entry["p999_response"]), iso_p999),
+            "p999_inflation": _inflation_ratio(
+                float(entry["p999_response"]), iso_p999
+            ),
         }
     return report

@@ -33,48 +33,4 @@ _EXPORTS = {
     ".crosscorr": ("cross_correlation", "peak_lag"),
 }
 
-__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
-
-__all__ = [
-    "Ecdf",
-    "Histogram",
-    "log_bin_edges",
-    "StreamingMoments",
-    "coefficient_of_variation",
-    "describe",
-    "SampleDescription",
-    "autocorrelation",
-    "integrated_autocorrelation_time",
-    "index_of_dispersion",
-    "idc_curve",
-    "hurst_aggregate_variance",
-    "hurst_rescaled_range",
-    "variance_time_curve",
-    "hill_estimator",
-    "tail_heaviness_ratio",
-    "ExponentialFit",
-    "LognormalFit",
-    "ParetoFit",
-    "fit_exponential",
-    "fit_lognormal",
-    "fit_pareto",
-    "best_fit",
-    "gini_coefficient",
-    "lorenz_curve",
-    "top_share",
-    "Mg1Prediction",
-    "mg1_predict",
-    "mg1_predict_from_samples",
-    "burstiness_penalty",
-    "mg1_vacation_penalty",
-    "mg1_with_vacations",
-    "PeriodEstimate",
-    "dominant_period",
-    "seasonal_strength",
-    "remove_seasonal",
-    "BootstrapInterval",
-    "bootstrap_ci",
-    "block_bootstrap_ci",
-    "cross_correlation",
-    "peak_lag",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), _EXPORTS)

@@ -42,40 +42,4 @@ _EXPORTS = {
     ".diurnal": ("DiurnalDay", "default_day_curve", "hourly_from_trace"),
 }
 
-__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
-
-__all__ = [
-    "poisson_arrivals",
-    "onoff_arrivals",
-    "mmpp_arrivals",
-    "bmodel_arrivals",
-    "pareto_sample",
-    "fgn_counts",
-    "arrivals_from_counts",
-    "superposed_onoff_arrivals",
-    "UniformSpatial",
-    "SequentialRuns",
-    "ZipfHotspots",
-    "FixedSizes",
-    "MixtureSizes",
-    "LognormalSizes",
-    "BernoulliMix",
-    "MarkovMix",
-    "ArrivalSpec",
-    "WorkloadProfile",
-    "available_profiles",
-    "get_profile",
-    "HourlyWorkloadModel",
-    "FamilyModel",
-    "TraceFingerprint",
-    "TraceFit",
-    "TwinValidation",
-    "fingerprint",
-    "fit_from_trace",
-    "calibrate_profile",
-    "calibration_report",
-    "validate_twin",
-    "DiurnalDay",
-    "default_day_curve",
-    "hourly_from_trace",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), _EXPORTS)

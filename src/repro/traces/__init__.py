@@ -37,34 +37,4 @@ _EXPORTS = {
     ".validate": ("validate_family", "validate_hourly", "validate_request_trace"),
 }
 
-__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
-
-__all__ = [
-    "DiskRequest",
-    "RequestTrace",
-    "HourlyTrace",
-    "HourlyDataset",
-    "LifetimeRecord",
-    "DriveFamilyDataset",
-    "TimeWindow",
-    "bin_counts",
-    "bin_sums",
-    "sliding_windows",
-    "QuarantinedRow",
-    "read_request_trace",
-    "write_request_trace",
-    "read_hourly_dataset",
-    "write_hourly_dataset",
-    "read_lifetime_dataset",
-    "write_lifetime_dataset",
-    "validate_request_trace",
-    "validate_hourly",
-    "validate_family",
-    "thin",
-    "time_scale",
-    "jitter",
-    "superpose",
-    "truncate",
-    "RequestCollector",
-    "CounterLogger",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), _EXPORTS)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli.main import build_parser, main
+from repro.traces.ingest import available_formats
 
 
 def run(capsys, *argv):
@@ -185,6 +186,20 @@ def test_parser_requires_subcommand():
 def test_parser_rejects_unknown_drive():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["study", "--profile", "web", "--drive", "floppy"])
+
+
+def test_run_suite_rejects_unknown_trace_format(tmp_path, capsys):
+    """A misspelt --trace-format is a usage error before any job runs,
+    like analyze-ms --format, not one TraceFormatError per job."""
+    trace = tmp_path / "web.csv"
+    trace.write_text("")
+    with pytest.raises(SystemExit) as excinfo:
+        main(["run-suite", "--trace", str(trace), "--trace-format", "msrr"])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "--trace-format: invalid choice" in err
+    for name in ["native", *available_formats()]:
+        assert repr(name) in err
 
 
 # run-suite and fleet share one runner/journal path; each case names the

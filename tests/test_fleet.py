@@ -3,6 +3,7 @@ QoS accounting, sharded execution, and the fleet scrub budget."""
 
 import os
 import signal
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -49,6 +50,16 @@ def second_shard_raises(job):
 def second_shard_crashes(job):
     if job.seed == 2:
         os.kill(os.getpid(), signal.SIGKILL)
+    return run_job(job)
+
+
+def first_member_raises_once(job):
+    """Seed 2 raises on its first call only (a marker file under
+    ``REPRO_TEST_FLAKY_DIR`` keeps state across attempts and workers)."""
+    marker = Path(os.environ["REPRO_TEST_FLAKY_DIR"]) / f"seed-{job.seed}"
+    if job.seed == 2 and not marker.exists():
+        marker.write_text("raised")
+        raise ValueError("transient failure")
     return run_job(job)
 
 
@@ -296,6 +307,38 @@ class TestSharding:
         ]
         assert all(f.error_type == error_type for f in report.failures)
         assert [r.seed for r in report.results] == [0, 1, 4, 5]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_shard_with_failed_member_retries_whole(
+        self, tiny_spec, tmp_path, monkeypatch, workers
+    ):
+        """A member that raises once fails its shard's attempt; the shard
+        is retried whole under its one budget, and the deterministic
+        members leave the merged report as a clean run's."""
+        monkeypatch.setenv("REPRO_TEST_FLAKY_DIR", str(tmp_path))
+        jobs = [
+            ExperimentJob(profile=get_profile("web"), drive=tiny_spec, span=1.0, seed=i)
+            for i in range(6)
+        ]
+        clean = ExperimentRunner(workers=1).run_sharded(jobs, shard_size=2)
+        report = ExperimentRunner(workers=workers, max_retries=1).run_sharded(
+            jobs, shard_size=2, job_fn=first_member_raises_once
+        )
+        assert report.ok
+        assert report.retries == 1
+        assert report.canonical_json() == clean.canonical_json()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failed_member_carries_its_shard_attempts(self, tiny_spec, workers):
+        jobs = [
+            ExperimentJob(profile=get_profile("web"), drive=tiny_spec, span=1.0, seed=i)
+            for i in range(6)
+        ]
+        report = ExperimentRunner(
+            workers=workers, max_retries=1, on_error="collect"
+        ).run_sharded(jobs, shard_size=2, job_fn=second_shard_raises)
+        assert [(f.index, f.attempts) for f in report.failures] == [(2, 2), (3, 2)]
+        assert report.retries == 1
 
     def test_shard_result_round_trip(self, tiny_spec):
         jobs = experiment_matrix(

@@ -66,6 +66,16 @@ def crash_once_job_fn(job):
     return run_job(job)
 
 
+def crash_then_raise_job_fn(job):
+    """SIGKILL the worker on each job's first attempt (one marker file
+    per seed under ``REPRO_TEST_CRASH_DIR``), raise on every later one."""
+    marker = Path(os.environ["REPRO_TEST_CRASH_DIR"]) / f"seed-{job.seed}"
+    if not marker.exists():
+        marker.write_text("crashed")
+        os.kill(os.getpid(), signal.SIGKILL)
+    raise ValueError(f"injected failure for seed {job.seed}")
+
+
 def raise_then_crash_job_fn(job):
     """Seed 0 raises at once; seed 1 SIGKILLs its worker on its first
     attempt a little later, after that failure has stopped submission."""
@@ -349,7 +359,8 @@ class TestFailurePaths:
         report = excinfo.value.report
         assert not report.deadline_exceeded
         assert [f.index for f in report.failures] == [0]
-        assert report.resilience["suite.resubmissions"] == 1
+        # Job 0's retry after its raise and job 1's after its crash.
+        assert report.resilience["suite.resubmissions"] == 2
 
     def test_raise_policy_stops_and_attaches_report(self, seeded_jobs):
         runner = ExperimentRunner(workers=1)
@@ -395,6 +406,23 @@ class TestFailurePaths:
         assert [f.index for f in report.failures] == [1]
         assert report.failures[0].attempts == 3
         assert report.retries == sum(f.attempts - 1 for f in report.failures) == 2
+
+    def test_crash_then_raise_shares_one_budget(
+        self, seeded_jobs, tmp_path, monkeypatch
+    ):
+        """A worker crash and a later raise draw on the same
+        ``max_retries``: each job is tried exactly ``max_retries + 1``
+        times, and its attempts are its submissions."""
+        monkeypatch.setenv("REPRO_TEST_CRASH_DIR", str(tmp_path))
+        runner = ExperimentRunner(workers=2, max_retries=1, on_error="collect")
+        report = runner.run_suite(seeded_jobs[:2], job_fn=crash_then_raise_job_fn)
+        assert [f.index for f in report.failures] == [0, 1]
+        for failure in report.failures:
+            assert failure.error_type == "ValueError"
+            assert failure.attempts == 2
+        assert report.retries == 2
+        assert report.resilience["suite.worker_crashes"] == 2
+        assert report.resilience["suite.resubmissions"] == 2
 
     def test_inline_timeout_counts_the_attempts_it_used(
         self, seeded_jobs, tmp_path, monkeypatch
