@@ -17,7 +17,7 @@ import numpy as np
 from repro.disk.simulator import SimulationResult
 from repro.errors import AnalysisError
 from repro.stats.ecdf import Ecdf
-from repro.stats.moments import SampleDescription, describe
+from repro.stats.moments import SampleDescription, describe, sorted_quantiles
 
 
 @dataclass(frozen=True)
@@ -176,7 +176,7 @@ def _tail_stats(
     if responses.size == 0:
         return (float("nan"),) * (len(quantiles) + 2)
     ordered = np.sort(responses)
-    tails = np.quantile(ordered, quantiles)
+    tails = sorted_quantiles(ordered, quantiles)
     return (float(ordered.mean()), *map(float, tails), float(ordered[-1]))
 
 

@@ -19,6 +19,7 @@ import numpy as np
 
 from repro.disk.timeline import BusyIdleTimeline
 from repro.errors import AnalysisError
+from repro.stats.moments import sorted_quantiles
 
 
 class IdlePredictor:
@@ -100,7 +101,7 @@ class IdlePredictor:
         with age? True means conditional waiting pays — the signature of
         a heavier-than-exponential tail. Compares the MRL at
         ``short_age`` with the MRL at the sample's ``long_age_quantile``."""
-        long_age = float(np.quantile(self._sorted, long_age_quantile))
+        long_age = float(sorted_quantiles(self._sorted, long_age_quantile))
         early = self.mean_residual_life(short_age)
         late = self.mean_residual_life(long_age)
         if not (np.isfinite(early) and np.isfinite(late)):

@@ -14,7 +14,10 @@ from repro._lazy import lazy_exports
 _EXPORTS = {
     ".ecdf": ("Ecdf",),
     ".histogram": ("Histogram", "log_bin_edges"),
-    ".moments": ("StreamingMoments", "coefficient_of_variation", "describe", "SampleDescription"),
+    ".moments": (
+        "StreamingMoments", "coefficient_of_variation", "describe", "SampleDescription",
+        "sorted_quantiles",
+    ),
     ".autocorr": ("autocorrelation", "integrated_autocorrelation_time"),
     ".dispersion": ("index_of_dispersion", "idc_curve"),
     ".hurst": ("hurst_aggregate_variance", "hurst_rescaled_range", "variance_time_curve"),

@@ -15,6 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.errors import StatsError
+from repro.stats.moments import sorted_quantiles
 
 
 @dataclass(frozen=True)
@@ -58,7 +59,7 @@ def _interval(
     if finite.size == 0:
         raise StatsError("every bootstrap replicate produced a non-finite value")
     alpha = (1.0 - confidence) / 2.0
-    low, high = np.quantile(finite, [alpha, 1.0 - alpha])
+    low, high = sorted_quantiles(np.sort(finite), (alpha, 1.0 - alpha))
     return BootstrapInterval(
         estimate=float(estimate),
         low=float(low),

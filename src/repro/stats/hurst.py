@@ -93,9 +93,10 @@ def hurst_rescaled_range(
             f"count series too short ({values.size} bins) for R/S analysis"
         )
     max_chunk = values.size // 2
-    sizes = np.unique(
-        np.geomspace(min_chunk, max_chunk, n_sizes).astype(int)
-    )
+    # geomspace is non-decreasing, so dropping repeats of the previous
+    # size dedupes without np.unique (whose first call imports numpy.ma).
+    ints = np.geomspace(min_chunk, max_chunk, n_sizes).astype(int)
+    sizes = ints[np.r_[True, ints[1:] != ints[:-1]]]
     log_sizes = []
     log_rs = []
     for size in sizes:

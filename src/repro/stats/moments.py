@@ -32,27 +32,68 @@ class SampleDescription:
     maximum: float
 
 
+def sorted_quantiles(ordered: np.ndarray, quantiles: Sequence[float]) -> np.ndarray:
+    """Quantiles of an ascending float64 sample, shaped like ``quantiles``.
+
+    Equal (NaN-equal) to ``numpy.quantile(ordered, quantiles)`` with the
+    default ``linear`` method, for float quantiles in ``[0, 1]``: virtual
+    index ``(n - 1) * q``, both neighbours at the last element from
+    ``n - 1`` on, and numpy's two-sided lerp. A NaN at the sorted tail
+    makes every quantile NaN, as in numpy. Unlike numpy's it never
+    calls ``np.unique``, whose first use in a process imports
+    ``numpy.ma`` (~25 ms in a fresh worker).
+    """
+    n = ordered.size
+    if n == 0:
+        raise StatsError("cannot take quantiles of an empty sample")
+    q = np.asarray(quantiles, dtype=np.float64)
+    if not np.all((q >= 0.0) & (q <= 1.0)):
+        raise StatsError(f"quantiles must lie in [0, 1], got {quantiles!r}")
+    if np.isnan(ordered[-1]):
+        return np.full(q.shape, np.nan)
+    virtual = (n - 1) * q.reshape(-1)
+    below = np.floor(virtual)
+    above = below + 1.0
+    at_top = virtual >= n - 1
+    below[at_top] = -1.0
+    above[at_top] = -1.0
+    gamma = virtual - below
+    a = ordered[below.astype(np.intp)]
+    b = ordered[above.astype(np.intp)]
+    diff = b - a
+    result = a + diff * gamma
+    np.subtract(b, diff * (1.0 - gamma), out=result, where=gamma >= 0.5)
+    return result.reshape(q.shape)
+
+
 def describe(sample: Sequence[float]) -> SampleDescription:
-    """Compute the standard description of a sample (NaNs dropped)."""
+    """Compute the standard description of a sample (NaNs dropped).
+
+    One sort serves every order statistic: the quantiles come from
+    :func:`sorted_quantiles` and the extremes from the sorted ends. The
+    mean and standard deviation are taken over the sample in its given
+    order, so their floating-point sums do not depend on the sort.
+    """
     values = np.asarray(sample, dtype=np.float64)
     values = values[~np.isnan(values)]
     if values.size == 0:
         raise StatsError("cannot describe an empty sample")
     mean = float(values.mean())
     std = float(values.std(ddof=1)) if values.size > 1 else 0.0
-    q = np.quantile(values, [0.25, 0.5, 0.75, 0.95, 0.99])
+    ordered = np.sort(values)
+    q = sorted_quantiles(ordered, (0.25, 0.5, 0.75, 0.95, 0.99))
     return SampleDescription(
         n=int(values.size),
         mean=mean,
         std=std,
         cv=std / mean if mean != 0 else float("nan"),
-        minimum=float(values.min()),
+        minimum=float(ordered[0]),
         p25=float(q[0]),
         median=float(q[1]),
         p75=float(q[2]),
         p95=float(q[3]),
         p99=float(q[4]),
-        maximum=float(values.max()),
+        maximum=float(ordered[-1]),
     )
 
 

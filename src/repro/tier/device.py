@@ -246,6 +246,11 @@ class TieredDevice:
             if config.migrate_interval > 0
             else None
         )
+        # Config values the per-request path reads, looked up once.
+        self._capacity_chunks = config.capacity_chunks
+        self._chunk_sectors = config.chunk_sectors
+        self._chunk_bytes = config.chunk_bytes
+        self._write_back = config.mode == "wb"
         self.stats = TierStats()
         #: Per-request hit flags in *service order*; the simulator maps
         #: them back to trace order through the start-time permutation.
@@ -261,6 +266,9 @@ class TieredDevice:
         )
         self._next_flush = config.flush_interval
         self._next_migrate = config.migrate_interval if self.engine else float("inf")
+        #: The earlier of the two schedules: requests before it skip
+        #: :meth:`_advance` entirely.
+        self._next_epoch = min(self._next_flush, self._next_migrate)
         self._pending_fault = None
         #: Optional :class:`~repro.obs.Observer` attached by the
         #: simulator at trace level; flush/migration epochs emit events,
@@ -306,12 +314,12 @@ class TieredDevice:
     # ------------------------------------------------------------------
 
     def _chunks_of(self, lba: int, nsectors: int) -> range:
-        size = self.config.chunk_sectors
+        size = self._chunk_sectors
         return range(lba // size, (lba + nsectors - 1) // size + 1)
 
     def _chunk_extent(self, chunk: int) -> tuple:
         """(lba, nsectors) of a chunk, clipped to drive capacity."""
-        size = self.config.chunk_sectors
+        size = self._chunk_sectors
         lba = chunk * size
         capacity = self.drive.geometry.capacity_sectors
         return lba, min(size, capacity - lba)
@@ -327,7 +335,7 @@ class TieredDevice:
 
     @property
     def dirty_bytes(self) -> int:
-        return self.dirty_chunks * self.config.chunk_bytes
+        return self.dirty_chunks * self._chunk_bytes
 
     # ------------------------------------------------------------------
     # Background epochs: interval flush and migration
@@ -342,6 +350,7 @@ class TieredDevice:
         while True:
             due = min(self._next_flush, self._next_migrate)
             if due > now:
+                self._next_epoch = due
                 return
             if self._next_flush <= self._next_migrate:
                 self._flush(due)
@@ -357,7 +366,7 @@ class TieredDevice:
             return
         for chunk in dirty:
             self._resident[chunk] = False
-        flushed = len(dirty) * self.config.chunk_bytes
+        flushed = len(dirty) * self._chunk_bytes
         self.stats.flushed_bytes += flushed
         self.stats.flush_runs += 1
         obs = self.obs
@@ -377,14 +386,14 @@ class TieredDevice:
         flushed = 0
         for chunk in plan.demote:
             if self._resident.pop(chunk, False):
-                flushed += self.config.chunk_bytes
+                flushed += self._chunk_bytes
         for chunk in plan.promote:
             self._resident[chunk] = False
             self._index(chunk, now)
         self.stats.promoted_chunks += len(plan.promote)
         self.stats.demoted_chunks += len(plan.demote)
         self.stats.flushed_bytes += flushed
-        self.stats.migrated_bytes += plan.moves * self.config.chunk_bytes
+        self.stats.migrated_bytes += plan.moves * self._chunk_bytes
         obs = self.obs
         if obs is not None and obs.tracing:
             obs.emit(
@@ -437,9 +446,11 @@ class TieredDevice:
     def _evict_for(self, incoming, now: float) -> float:
         """Free space for ``incoming`` chunks; returns the synchronous
         destage penalty (seconds) charged to the foreground request."""
+        capacity = self._capacity_chunks
+        if len(self._resident) + len(incoming) <= capacity:
+            return 0.0
         penalty = 0.0
         incoming_set = set(incoming)
-        capacity = self.config.capacity_chunks
         while len(self._resident) + len(incoming_set) > capacity:
             victim = self._victim(incoming_set, now)
             if victim is None:
@@ -450,7 +461,7 @@ class TieredDevice:
                 # Synchronous destage: flash read + HDD write of the
                 # chunk, through the real drive model.
                 self.stats.dirty_evictions += 1
-                self.stats.flushed_bytes += self.config.chunk_bytes
+                self.stats.flushed_bytes += self._chunk_bytes
                 lba, nsectors = self._chunk_extent(victim)
                 penalty += self.config.ssd.service_time(nsectors, False)
                 penalty += self.drive.service_time(lba, nsectors, True, now)
@@ -464,7 +475,7 @@ class TieredDevice:
         if not missing:
             return 0.0
         penalty = self._evict_for(missing, now)
-        capacity = self.config.capacity_chunks
+        capacity = self._capacity_chunks
         for chunk in missing:
             if len(self._resident) < capacity:
                 self._resident[chunk] = False
@@ -481,16 +492,21 @@ class TieredDevice:
         Same contract as :meth:`DiskDrive.service_time`; the engines
         cannot tell the difference.
         """
-        self._advance(now)
+        if now >= self._next_epoch:
+            self._advance(now)
         chunks = self._chunks_of(lba, nsectors)
+        touch = self.policy.touch
+        resident_map = self._resident
+        resident = True  # every chunk of the request is on flash
         for chunk in chunks:
-            self.policy.touch(chunk, now, is_write)
-            if chunk in self._resident:
+            touch(chunk, now, is_write)
+            if chunk in resident_map:
                 self._index(chunk, now)
+            else:
+                resident = False
         nbytes = nsectors * SECTOR_BYTES
         self.stats.bytes_total += nbytes
 
-        resident = all(c in self._resident for c in chunks)
         if is_write:
             self.stats.writes += 1
             service, hit = self._serve_write(lba, nsectors, chunks, resident, now)
@@ -515,9 +531,9 @@ class TieredDevice:
         return service, False
 
     def _serve_write(self, lba, nsectors, chunks, resident, now):
-        if self.config.mode == "wb" and resident:
+        if self._write_back and resident:
             # Write-back hit: complete on flash, mark chunks dirty.
-            chunk_bytes = self.config.chunk_bytes
+            chunk_bytes = self._chunk_bytes
             for chunk in chunks:
                 if not self._resident[chunk]:
                     self._resident[chunk] = True
@@ -529,7 +545,7 @@ class TieredDevice:
         service = self.drive.service_time(lba, nsectors, True, now)
         if self.drive.faults is not None:
             self._pending_fault = self.drive.take_fault_event()
-        if self.config.mode == "wb":
+        if self._write_back:
             # Write-allocate (clean: the data just went to the HDD), so
             # the next write to these chunks completes on flash.
             service += self._admit(chunks, now)

@@ -1,12 +1,14 @@
 """Property-based tests on the statistics substrate (hypothesis)."""
 
 import numpy as np
-from hypothesis import given
+import pytest
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from repro.errors import StatsError
 from repro.stats.ecdf import Ecdf
 from repro.stats.inequality import gini_coefficient, lorenz_curve, top_share
-from repro.stats.moments import StreamingMoments, describe
+from repro.stats.moments import StreamingMoments, describe, sorted_quantiles
 from repro.stats.tail import tail_heaviness_ratio
 
 finite_floats = st.floats(
@@ -59,6 +61,45 @@ def test_streaming_merge_commutes(a, b):
 def test_describe_orders_quantiles(sample):
     d = describe(sample)
     assert d.minimum <= d.p25 <= d.median <= d.p75 <= d.p95 <= d.p99 <= d.maximum
+
+
+# Few distinct values force ties; the infinities and a NaN tail reach
+# numpy's inf - inf and NaN-propagation branches.
+quantile_samples = st.tuples(
+    st.lists(
+        st.one_of(
+            finite_floats,
+            st.sampled_from([0.0, 1.0, 2.5, -3.0, np.inf, -np.inf]),
+        ),
+        min_size=1,
+        max_size=200,
+    ),
+    st.integers(0, 3),
+).map(lambda drawn: drawn[0] + [np.nan] * drawn[1])
+quantile_lists = st.lists(
+    st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 0.5, 1.0])),
+    min_size=1,
+    max_size=8,
+)
+
+
+@given(quantile_samples, quantile_lists)
+# At gamma = 0.5 the two sides of numpy's lerp round differently, and
+# next to an infinity only the side numpy picks avoids inf - inf.
+@example([0.1, 0.7], [0.5])
+@example([-np.inf, 1.0], [0.5, 1.0, 0.0])
+def test_sorted_quantiles_equal_numpy_quantile(sample, quantiles):
+    values = np.asarray(sample, dtype=np.float64)
+    with np.errstate(invalid="ignore"):
+        expected = np.quantile(values, quantiles)
+        got = sorted_quantiles(np.sort(values), quantiles)
+    assert got.shape == expected.shape
+    assert np.array_equal(got, expected, equal_nan=True)
+
+
+def test_sorted_quantiles_rejects_empty_sample():
+    with pytest.raises(StatsError, match="empty"):
+        sorted_quantiles(np.array([], dtype=np.float64), [0.5])
 
 
 @given(st.lists(positive_floats, min_size=1, max_size=200))
