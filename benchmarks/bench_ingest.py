@@ -1,16 +1,17 @@
 """I29 — trace ingestion: parse throughput and synthetic-twin fidelity.
 
-Parses every committed foreign-format sample through the ingest registry
-(permissive mode, so the samples' deliberate corrupt rows land in
-quarantine), measures rows/s of parse throughput, then closes the
+Parses every committed sample through the ingest registry — one per
+foreign format plus the library's own ``native`` CSV — in permissive
+mode, so the foreign samples' deliberate corrupt rows land in
+quarantine; measures rows/s of parse throughput, then closes the
 calibration loop on each: fit a synthetic twin with ``fit_from_trace``
 and score the real-vs-twin per-timescale divergence with
 ``validate_twin``. Results go to ``BENCH_ingest.json`` at the repo root.
 
 The reproduction targets:
 
-* every sample parses end-to-end with exactly its pinned number of
-  quarantined rows — the corrupt rows, nothing else;
+* every sample parses end-to-end with exactly its pinned numbers of
+  good records and quarantined rows — the corrupt rows, nothing else;
 * parse throughput stays above a loose floor (the streaming reader must
   not regress to quadratic or per-row-object behavior);
 * each fitted twin stays within a per-format divergence bound across the
@@ -35,14 +36,16 @@ from repro.synth.calibrate import fit_from_trace, validate_twin
 from repro.traces.ingest import get_parser
 
 ARTIFACT = Path(__file__).parent.parent / "BENCH_ingest.json"
-SAMPLE_DIR = Path(__file__).parent.parent / "tests" / "golden" / "data" / "ingest"
+SAMPLE_DIR = Path(__file__).parent.parent / "tests" / "golden" / "data"
 
-#: Committed sample per format and its known corrupt-row count.
+#: Committed sample per format (under ``tests/golden/data``), its pinned
+#: good-record count and its known corrupt-row count.
 SAMPLES = {
-    "msr": ("sample_msr.csv", 2),
-    "blktrace": ("sample_blktrace.txt", 2),
-    "alibaba": ("sample_alibaba.csv", 2),
-    "spc": ("sample_spc.csv", 2),
+    "msr": ("ingest/sample_msr.csv", 1087, 2),
+    "blktrace": ("ingest/sample_blktrace.txt", 1820, 2),
+    "alibaba": ("ingest/sample_alibaba.csv", 1704, 2),
+    "spc": ("ingest/sample_spc.csv", 3239, 2),
+    "native": ("web_small.csv", 413, 0),
 }
 
 #: Validation timescales (seconds) — chosen so even the shortest sample
@@ -56,6 +59,7 @@ DIVERGENCE_BOUNDS = {
     "blktrace": 2.0,
     "alibaba": 1.5,
     "spc": 2.5,
+    "native": 2.0,
 }
 
 #: rows/s the streaming parser must sustain on the committed samples.
@@ -66,7 +70,7 @@ def measure(quick=False):
     """Parse + fit + validate every sample; returns ``{format: row}``."""
     repeats = 1 if quick else 3
     rows = {}
-    for fmt, (filename, n_corrupt) in SAMPLES.items():
+    for fmt, (filename, n_pinned, n_corrupt) in SAMPLES.items():
         path = SAMPLE_DIR / filename
         parser = get_parser(fmt)
         best = float("inf")
@@ -83,6 +87,7 @@ def measure(quick=False):
             "path": str(path.relative_to(ARTIFACT.parent)),
             "n_requests": len(trace),
             "n_quarantined": len(quarantine),
+            "n_requests_expected": n_pinned,
             "n_corrupt_expected": n_corrupt,
             "span_seconds": round(trace.span, 3),
             "parse_seconds": best,
@@ -149,9 +154,10 @@ def check_bounds(rows, payload):
     """The reproduction targets; shared by pytest and direct runs."""
     assert ARTIFACT.exists()
     for fmt, entry in payload["formats"].items():
-        # Exactly the planted corrupt rows are quarantined.
+        # Exactly the planted corrupt rows are quarantined, and every
+        # good record survives.
         assert entry["n_quarantined"] == rows[fmt]["n_corrupt_expected"], fmt
-        assert entry["n_requests"] > 1000, fmt
+        assert entry["n_requests"] == rows[fmt]["n_requests_expected"], fmt
         # Streaming parse keeps its throughput floor.
         assert entry["rows_per_second"] > MIN_ROWS_PER_SECOND, fmt
         # The fitted twin stays within the per-format divergence bound.

@@ -49,7 +49,6 @@ from repro.tier import TIER_MODES, TierConfig, available_heat_policies
 from repro.traces.io import (
     read_hourly_dataset,
     read_lifetime_dataset,
-    read_request_trace,
     write_hourly_dataset,
     write_lifetime_dataset,
     write_request_trace,
@@ -78,20 +77,12 @@ def _fault_profile(name):
 
 
 def _load_trace(args: argparse.Namespace):
-    """Read ``args.trace`` honoring ``--format``/``--permissive``.
-
-    ``native`` (the default everywhere) is the library's own CSV via
-    :func:`~repro.traces.io.read_request_trace`; any other value goes
-    through the ingest parser registry, normalizing that format's units
-    on the way in.
-    """
-    fmt = getattr(args, "format", "native")
-    strict = not getattr(args, "permissive", False)
-    if fmt == "native":
-        return read_request_trace(args.trace, strict=strict)
+    """Read ``args.trace`` honoring ``--format``/``--permissive``
+    through the ingest parser registry (default ``native``, the
+    library's own CSV)."""
     from repro.traces.ingest import get_parser
 
-    return get_parser(fmt).parse(args.trace, strict=strict)
+    return get_parser(args.format).parse(args.trace, strict=not args.permissive)
 
 
 def _tier_config(args: argparse.Namespace) -> Optional[TierConfig]:
@@ -339,8 +330,10 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     table.add_row(["span", format_duration(trace.span)])
     table.add_row(["request rate (req/s)", trace.request_rate])
     table.add_row(["write fraction", trace.write_fraction])
-    table.add_row(["mean request (sectors)", float(trace.nsectors.mean())])
-    table.add_row(["footprint (sectors)", int((trace.lbas + trace.nsectors).max())])
+    # A native file may declare a span and hold no rows.
+    mean_sectors = float(trace.nsectors.mean()) if len(trace) else float("nan")
+    table.add_row(["mean request (sectors)", mean_sectors])
+    table.add_row(["footprint (sectors)", int((trace.lbas + trace.nsectors).max(initial=0))])
     table.add_row(["quarantined rows", len(quarantine)])
     # Render the basename so reports are identical wherever the trace
     # (and the repo) happens to live on disk.
@@ -907,8 +900,7 @@ def build_parser() -> argparse.ArgumentParser:
         from repro.traces.ingest import available_formats
 
         p.add_argument(
-            "--format", default="native",
-            choices=["native"] + sorted(available_formats()),
+            "--format", default="native", choices=sorted(available_formats()),
             help="trace file format (default: native, this library's CSV)",
         )
         p.add_argument(
@@ -1075,10 +1067,8 @@ def build_parser() -> argparse.ArgumentParser:
         "(mutually exclusive with --profiles)",
     )
     p.add_argument(
-        "--trace-format", default="native",
-        choices=["native"] + sorted(_available_formats()),
-        help="format of the --trace files: native or any ingest format "
-        "(default: native)",
+        "--trace-format", default="native", choices=sorted(_available_formats()),
+        help="format of the --trace files (default: native, this library's CSV)",
     )
     p.add_argument(
         "--permissive", action="store_true",

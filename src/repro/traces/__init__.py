@@ -29,7 +29,7 @@ _EXPORTS = {
     ".lifetime": ("LifetimeRecord", "DriveFamilyDataset"),
     ".window": ("TimeWindow", "bin_counts", "bin_sums", "sliding_windows"),
     ".io": (
-        "QuarantinedRow", "read_hourly_dataset", "read_lifetime_dataset", "read_request_trace",
+        "QuarantinedRow", "read_hourly_dataset", "read_lifetime_dataset",
         "write_hourly_dataset", "write_lifetime_dataset", "write_request_trace",
     ),
     ".ops": ("jitter", "superpose", "thin", "time_scale", "truncate"),

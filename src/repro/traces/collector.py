@@ -108,9 +108,10 @@ class RequestCollector:
 
     def trace(self, span: Optional[float] = None) -> RequestTrace:
         """Everything recorded so far, as one trace (buffer + shards)."""
-        from repro.traces.io import read_request_trace
+        from repro.traces.ingest import get_parser
 
-        pieces = [read_request_trace(shard) for shard in self._shards]
+        parser = get_parser("native")
+        pieces = [parser.parse(shard) for shard in self._shards]
         if self._buffer:
             pieces.append(RequestTrace.from_requests(self._buffer, label=self.label))
         if not pieces:

@@ -6,10 +6,18 @@ scenario sources: a registry of streaming parsers, one per published
 format, each normalizing that format's native units (timestamp ticks,
 byte offsets) into the library's conventions (seconds from the first
 arrival, 512-byte sectors) and producing a standard
-:class:`~repro.traces.RequestTrace`.
+:class:`~repro.traces.RequestTrace`. The library's own CSV is one of
+them, so every request trace, native or foreign, is read one way.
 
 Built-in formats
 ----------------
+``native``
+    This library's CSV, written by
+    :func:`~repro.traces.io.write_request_trace`: an optional
+    ``# span=… label=… capacity=…`` comment, then ``time,lba,nsectors,op``
+    rows in seconds from the capture start and sectors. The one format
+    that keeps its clock; the header's span, label and capacity carry
+    through.
 ``msr``
     MSR Cambridge block traces (SNIA): CSV rows of
     ``timestamp,hostname,disknum,type,offset,size,latency`` with Windows
@@ -54,12 +62,14 @@ from repro.traces.ingest.msr import MsrParser
 from repro.traces.ingest.blktrace import BlktraceParser
 from repro.traces.ingest.alibaba import AlibabaParser
 from repro.traces.ingest.spc import SpcParser
+from repro.traces.ingest.native import NativeParser
 from repro.traces.ingest.source import TraceSource
 
 __all__ = [
     "AlibabaParser",
     "BlktraceParser",
     "MsrParser",
+    "NativeParser",
     "ParseRowError",
     "SpcParser",
     "TraceParser",

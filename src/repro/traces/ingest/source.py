@@ -3,10 +3,9 @@
 :class:`TraceSource` is how the parallel runner carries "replay this
 file" through an :class:`~repro.core.runner.ExperimentJob`: a frozen
 record of *where* the trace lives and *how* to read it, loaded lazily in
-the worker process so the job itself stays cheap to pickle. The format
-key ``"native"`` reads the library's own CSV format via
-:func:`repro.traces.io.read_request_trace`; any other key goes through
-the ingest registry.
+the worker process so the job itself stays cheap to pickle. Every
+format, the library's own ``native`` CSV included, is read through the
+ingest registry.
 """
 
 from __future__ import annotations
@@ -27,8 +26,9 @@ class TraceSource:
     path:
         The trace file.
     format:
-        ``"native"`` for the library's own CSV, otherwise a key from
-        :func:`~repro.traces.ingest.registry.available_formats`.
+        A key from
+        :func:`~repro.traces.ingest.registry.available_formats`
+        (default: the library's own ``native`` CSV).
     strict:
         Raise on the first corrupt row (``True``) or silently drop
         corrupt rows (``False``; quarantine details are not kept — use
@@ -52,21 +52,6 @@ class TraceSource:
 
     def load(self) -> RequestTrace:
         """Read the trace off disk (every call re-reads the file)."""
-        if self.format == "native":
-            from repro.traces.io import read_request_trace
-
-            trace = read_request_trace(self.path, strict=self.strict)
-            if self.max_requests is not None and len(trace) > self.max_requests:
-                n = self.max_requests
-                trace = RequestTrace(
-                    times=trace.times[:n],
-                    lbas=trace.lbas[:n],
-                    nsectors=trace.nsectors[:n],
-                    is_write=trace.is_write[:n],
-                    label=trace.label,
-                    capacity_sectors=trace.capacity_sectors,
-                )
-            return trace
         from repro.traces.ingest.registry import get_parser
 
         return get_parser(self.format).parse(

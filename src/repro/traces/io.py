@@ -6,7 +6,9 @@ and version control:
 * Millisecond traces — CSV with header ``time,lba,nsectors,op`` where
   ``op`` is ``R`` or ``W``; a leading comment line carries the span,
   label and (when known) drive capacity
-  (``# span=<seconds> label=<text> capacity=<sectors>``).
+  (``# span=<seconds> label=<text> capacity=<sectors>``). This module
+  writes them; they are read like every other request-trace format,
+  through the ``native`` parser of :mod:`repro.traces.ingest`.
 * Hour traces — JSON Lines, one drive per line.
 * Lifetime traces — CSV with header
   ``drive_id,power_on_hours,bytes_read,bytes_written,model``.
@@ -29,7 +31,7 @@ import math
 import shlex
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.errors import TraceFormatError
 from repro.traces.hourly import HourlyDataset, HourlyTrace
@@ -123,6 +125,25 @@ def _parse_header(line: str) -> Dict[str, str]:
     return fields
 
 
+def _csv_prologue(fh, path: Path, columns: List[str]) -> Tuple[Dict[str, str], int]:
+    """Consume a CSV file's optional ``# key=value`` comment line and its
+    exact column header ``columns``.
+
+    Returns the comment's fields (empty without one) and the 1-based
+    line number of the column header, so row numbering continues after
+    it. A wrong column header raises ``path:lineno`` in both modes.
+    """
+    line, lineno = fh.readline(), 1
+    fields: Dict[str, str] = {}
+    if line.startswith("#"):
+        fields = _parse_header(line)
+        line, lineno = fh.readline(), 2
+    header = [c.strip() for c in line.strip().split(",")]
+    if header != columns:
+        raise TraceFormatError(f"{path}:{lineno}: unexpected header {header!r}")
+    return fields, lineno
+
+
 # ----------------------------------------------------------------------
 # Millisecond traces
 # ----------------------------------------------------------------------
@@ -146,108 +167,6 @@ def write_request_trace(trace: RequestTrace, path: PathLike) -> None:
                     "W" if trace.is_write[i] else "R",
                 ]
             )
-
-
-def _request_row_problem(
-    time: float, lba: int, nsectors: int, capacity: Optional[int]
-) -> Optional[str]:
-    """Why one parsed (time, lba, nsectors) triple violates the request
-    invariants, or ``None`` when it is sound."""
-    if not math.isfinite(time):
-        return f"non-finite time {time!r}"
-    if time < 0:
-        return f"negative time {time!r}"
-    if lba < 0:
-        return f"negative LBA {lba!r}"
-    if nsectors <= 0:
-        return f"non-positive nsectors {nsectors!r}"
-    if capacity is not None and lba + nsectors > capacity:
-        return (
-            f"request [{lba}, {lba + nsectors}) exceeds the header "
-            f"capacity of {capacity} sectors"
-        )
-    return None
-
-
-def read_request_trace(
-    path: PathLike,
-    strict: bool = True,
-    quarantine: Optional[List[QuarantinedRow]] = None,
-) -> RequestTrace:
-    """Read a millisecond trace written by :func:`write_request_trace`.
-
-    Beyond parsing, every row is checked against the request invariants
-    (finite non-negative time, non-negative LBA, positive length, and —
-    when the file header carries a ``capacity`` — addressing within it).
-    ``strict=False`` skips offending rows into ``quarantine`` instead of
-    raising; see the module docstring for the policy.
-    """
-    path = Path(path)
-    errors = _RowErrors(path, strict, quarantine)
-    span = None
-    label = path.stem
-    capacity: Optional[int] = None
-    times: List[float] = []
-    lbas: List[int] = []
-    nsectors: List[int] = []
-    is_write: List[bool] = []
-    with path.open() as fh:
-        first = fh.readline()
-        if first.startswith("#"):
-            fields = _parse_header(first)
-            try:
-                if "span" in fields:
-                    span = float(fields["span"])
-                if "capacity" in fields:
-                    capacity = int(fields["capacity"])
-            except ValueError as exc:
-                raise TraceFormatError(f"{path}:1: malformed header: {exc}") from exc
-            if span is not None and not math.isfinite(span):
-                raise TraceFormatError(f"{path}:1: span must be finite, got {span!r}")
-            if capacity is not None and capacity <= 0:
-                raise TraceFormatError(
-                    f"{path}:1: capacity must be > 0, got {capacity!r}"
-                )
-            if "label" in fields:
-                label = fields["label"]
-            header_line = fh.readline()
-            header_lineno = 2
-        else:
-            header_line = first
-            header_lineno = 1
-        header = [c.strip() for c in header_line.strip().split(",")]
-        if header != ["time", "lba", "nsectors", "op"]:
-            raise TraceFormatError(
-                f"{path}:{header_lineno}: unexpected header {header!r}"
-            )
-        for lineno, row in enumerate(csv.reader(fh), start=header_lineno + 1):
-            if not row:
-                continue
-            try:
-                time = float(row[0])
-                lba = int(row[1])
-                length = int(row[2])
-                op = row[3].strip().upper()
-            except (IndexError, ValueError):
-                errors.bad_row(lineno, ",".join(row), f"malformed row {row!r}")
-                continue
-            if op not in ("R", "W"):
-                errors.bad_row(
-                    lineno, ",".join(row), f"op must be R or W, got {op!r}"
-                )
-                continue
-            problem = _request_row_problem(time, lba, length, capacity)
-            if problem is not None:
-                errors.bad_row(lineno, ",".join(row), problem)
-                continue
-            times.append(time)
-            lbas.append(lba)
-            nsectors.append(length)
-            is_write.append(op == "W")
-    return RequestTrace(
-        times, lbas, nsectors, is_write,
-        span=span, label=label, capacity_sectors=capacity,
-    )
 
 
 # ----------------------------------------------------------------------
@@ -335,22 +254,10 @@ def read_lifetime_dataset(
     """
     path = Path(path)
     errors = _RowErrors(path, strict, quarantine)
-    family = path.stem
     records: List[LifetimeRecord] = []
     with path.open() as fh:
-        first = fh.readline()
-        if first.startswith("#"):
-            family = _parse_header(first).get("family", family)
-            header_line = fh.readline()
-            header_lineno = 2
-        else:
-            header_line = first
-            header_lineno = 1
-        header = [c.strip() for c in header_line.strip().split(",")]
-        if header != _LIFETIME_HEADER:
-            raise TraceFormatError(
-                f"{path}:{header_lineno}: unexpected header {header!r}"
-            )
+        fields, header_lineno = _csv_prologue(fh, path, _LIFETIME_HEADER)
+        family = fields.get("family", path.stem)
         for lineno, row in enumerate(csv.reader(fh), start=header_lineno + 1):
             if not row:
                 continue

@@ -1,5 +1,7 @@
 """The repro-workloads command-line interface."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli.main import build_parser, main
@@ -53,6 +55,46 @@ def test_analyze_ms_with_scheduler(tmp_path, capsys):
     run(capsys, "synth-ms", "--profile", "web", "--span", "10", "-o", str(trace_path))
     code, out, _ = run(capsys, "analyze-ms", str(trace_path), "--scheduler", "sstf")
     assert code == 0
+
+
+def test_ingest_native_round_trip_is_byte_identical(tmp_path, capsys):
+    """``native`` is an ingest format like any other: reading the
+    library's own CSV and writing it back reproduces the file exactly."""
+    source = Path(__file__).parent / "golden" / "data" / "web_small.csv"
+    out = tmp_path / "out.csv"
+    code, stdout, _ = run(
+        capsys, "ingest", str(source), "--format", "native", "-o", str(out)
+    )
+    assert code == 0
+    assert "quarantined rows" in stdout
+    assert out.read_bytes() == source.read_bytes()
+
+
+def test_ingest_native_empty_trace_round_trips(tmp_path, capsys):
+    """A native file that declares a span and holds no rows is a valid
+    (all-idle) trace: ingest summarizes and rewrites it, no traceback."""
+    from repro.traces.io import write_request_trace
+    from repro.traces.millisecond import RequestTrace
+
+    source, out = tmp_path / "idle.csv", tmp_path / "out.csv"
+    write_request_trace(RequestTrace.empty(span=3.0, label="idle"), source)
+    code, stdout, _ = run(
+        capsys, "ingest", str(source), "--format", "native", "-o", str(out)
+    )
+    assert code == 0
+    assert "wrote 0 requests" in stdout
+    assert out.read_bytes() == source.read_bytes()
+
+
+@pytest.mark.parametrize("limit", ["0", "-1"])
+def test_ingest_rejects_max_requests_below_one(limit, capsys):
+    """A cap of no records is an input error, not a whole-file read."""
+    source = Path(__file__).parent / "golden" / "data" / "web_small.csv"
+    code, _, err = run(
+        capsys, "ingest", str(source), "--format", "native", "--max-requests", limit
+    )
+    assert code == 2
+    assert "max_requests must be >= 1" in err
 
 
 def test_synth_and_analyze_hourly(tmp_path, capsys):
@@ -198,7 +240,7 @@ def test_run_suite_rejects_unknown_trace_format(tmp_path, capsys):
     assert excinfo.value.code == 2
     err = capsys.readouterr().err
     assert "--trace-format: invalid choice" in err
-    for name in ["native", *available_formats()]:
+    for name in available_formats():
         assert repr(name) in err
 
 

@@ -105,12 +105,10 @@ class TestSampleRoundTrips:
     def test_native_round_trip(self, fmt, filename, count, tmp_path):
         """Foreign parse -> native write -> native read is lossless for
         the columns both sides model (times keep microsecond fidelity)."""
-        from repro.traces.io import read_request_trace
-
         trace = get_parser(fmt).parse(SAMPLE_DIR / filename, strict=False)
         out = tmp_path / "native.csv"
         write_request_trace(trace, out)
-        back = read_request_trace(out)
+        back = get_parser("native").parse(out)
         assert len(back) == len(trace)
         np.testing.assert_array_equal(back.lbas, trace.lbas)
         np.testing.assert_array_equal(back.nsectors, trace.nsectors)
@@ -295,6 +293,15 @@ class TestSpcAndMsrRows:
         fmt, path, _ = capture
         assert len(get_parser(fmt).parse(path, max_requests=2)) == 2
 
+    @pytest.mark.parametrize("limit", [0, -1])
+    def test_max_requests_below_one_rejected(self, capture, limit):
+        fmt, path, _ = capture
+        parser = get_parser(fmt)
+        with pytest.raises(TraceFormatError, match="max_requests must be >= 1"):
+            parser.parse(path, max_requests=limit)
+        with pytest.raises(TraceFormatError, match="max_requests must be >= 1"):
+            next(parser.iter_chunks(path, max_requests=limit))
+
     def test_filter_matching_nothing_rejected(self, capture):
         fmt, path, no_match = capture
         with pytest.raises(TraceFormatError, match="no usable"):
@@ -341,6 +348,14 @@ class TestTraceSource:
         native = tmp_path / "native.csv"
         write_request_trace(trace, native)
         assert len(TraceSource(str(native), max_requests=4).load()) == 4
+
+    def test_max_requests_below_one_rejected(self):
+        src = TraceSource(
+            str(Path(__file__).parent / "golden" / "data" / "web_small.csv"),
+            max_requests=0,
+        )
+        with pytest.raises(TraceFormatError, match="max_requests must be >= 1"):
+            src.load()
 
     def test_is_picklable(self):
         import pickle

@@ -16,8 +16,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import TraceFormatError
 from repro.synth.calibrate import fit_from_trace
 from repro.traces.ingest import get_parser
+from repro.traces.io import write_request_trace
+from repro.traces.millisecond import RequestTrace
 
 settings.register_profile("repro-ingest", deadline=None, max_examples=30)
 settings.load_profile("repro-ingest")
@@ -123,6 +126,35 @@ def test_parse_is_chunk_size_invariant(tmp_path_factory, rows, chunk_rows):
     assert all(len(c) <= chunk_rows for c in streamed)
 
 
+@given(rows=spc_rows(min_size=5, max_size=60), chunk_rows=st.integers(1, 80))
+def test_native_parse_is_chunk_size_invariant(tmp_path_factory, rows, chunk_rows):
+    """The native format streams the same way, and keeps its clock:
+    ``parse`` and ``iter_chunks`` agree with origin 0 at every chunk size."""
+    tmp = tmp_path_factory.mktemp("native")
+    path = tmp / "t.csv"
+    _, lbas, nbytes, is_write, times = zip(*rows)
+    write_request_trace(
+        RequestTrace(times, lbas, [n // 512 for n in nbytes], is_write, span=1000.0),
+        path,
+    )
+    parser = get_parser("native")
+    whole = parser.parse(path)
+    chunked = parser.parse(path, chunk_rows=chunk_rows)
+    np.testing.assert_array_equal(whole.times, np.sort(times))
+    assert whole.span == chunked.span == 1000.0
+    for a, b in zip(_columns(whole), _columns(chunked)):
+        np.testing.assert_array_equal(a, b)
+
+    streamed = list(parser.iter_chunks(path, chunk_rows=chunk_rows))
+    assert all(len(c) <= chunk_rows for c in streamed)
+    for a, b in zip(_sorted_columns([whole]), _sorted_columns(streamed)):
+        np.testing.assert_array_equal(a, b)
+
+
+def _columns(trace):
+    return trace.times, trace.lbas, trace.nsectors, trace.is_write
+
+
 def _sorted_columns(chunks):
     """Concatenate streamed chunks and canonicalize the row order, so
     streams batched differently can be compared row for row."""
@@ -159,6 +191,12 @@ def test_stream_origin_anchors_at_first_accepted_row(tmp_path):
         np.testing.assert_allclose(times, [0.0, 2.0])
         np.testing.assert_array_equal(lbas, [100, 300])
         assert quarantine  # the early rows were reported, not silently lost
+        # ... at their own lines, with the raw row and a plain float.
+        assert [row.lineno for row in quarantine] == [2, 4]
+        assert quarantine[0].content == _spc_line(rows[1])
+        assert quarantine[0].reason == "arrival 1.0 precedes the stream origin 5.0"
+    with pytest.raises(TraceFormatError, match=r"ooo\.csv:2: "):
+        list(parser.iter_chunks(path, chunk_rows=100))
 
 
 @given(

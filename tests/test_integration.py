@@ -12,7 +12,8 @@ from repro.core.lifetime_analysis import analyze_family
 from repro.disk.simulator import DiskSimulator
 from repro.synth.hourly import HourlyWorkloadModel
 from repro.synth.profiles import available_profiles, get_profile
-from repro.traces.io import read_request_trace, write_request_trace
+from repro.traces.ingest import get_parser
+from repro.traces.io import write_request_trace
 from repro.traces.validate import validate_request_trace
 
 
@@ -71,7 +72,7 @@ def test_synthesized_traces_valid_against_drive(tiny_spec):
 def test_trace_file_roundtrip_preserves_simulation(tmp_path, tiny_spec, web_trace):
     path = tmp_path / "w.csv"
     write_request_trace(web_trace, path)
-    reloaded = read_request_trace(path)
+    reloaded = get_parser("native").parse(path)
     a = DiskSimulator(tiny_spec, seed=1).run(web_trace)
     b = DiskSimulator(tiny_spec, seed=1).run(reloaded)
     np.testing.assert_allclose(a.service_times, b.service_times)

@@ -4,18 +4,20 @@ import numpy as np
 import pytest
 
 from repro.errors import TraceFormatError
+from repro.traces.ingest import get_parser
 from repro.traces.hourly import HourlyDataset, HourlyTrace
 from repro.traces.io import (
     QuarantinedRow,
     read_hourly_dataset,
     read_lifetime_dataset,
-    read_request_trace,
     write_hourly_dataset,
     write_lifetime_dataset,
     write_request_trace,
 )
 from repro.traces.lifetime import DriveFamilyDataset, LifetimeRecord
 from repro.traces.millisecond import RequestTrace
+
+NATIVE = get_parser("native")
 
 
 class TestRequestTraceIo:
@@ -33,7 +35,7 @@ class TestRequestTraceIo:
         original = self.make_trace()
         path = tmp_path / "trace.csv"
         write_request_trace(original, path)
-        loaded = read_request_trace(path)
+        loaded = NATIVE.parse(path)
         assert loaded.label == "roundtrip"
         assert loaded.span == 5.0
         np.testing.assert_array_equal(loaded.times, original.times)
@@ -44,7 +46,7 @@ class TestRequestTraceIo:
     def test_roundtrip_empty(self, tmp_path):
         path = tmp_path / "empty.csv"
         write_request_trace(RequestTrace.empty(span=3.0, label="e"), path)
-        loaded = read_request_trace(path)
+        loaded = NATIVE.parse(path)
         assert len(loaded) == 0
         assert loaded.span == 3.0
 
@@ -52,24 +54,24 @@ class TestRequestTraceIo:
         path = tmp_path / "bad.csv"
         path.write_text("a,b,c,d\n1,2,3,R\n")
         with pytest.raises(TraceFormatError):
-            read_request_trace(path)
+            NATIVE.parse(path)
 
     def test_bad_op_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("time,lba,nsectors,op\n0.0,0,8,X\n")
         with pytest.raises(TraceFormatError):
-            read_request_trace(path)
+            NATIVE.parse(path)
 
     def test_malformed_row_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("time,lba,nsectors,op\nnot_a_number,0,8,R\n")
         with pytest.raises(TraceFormatError):
-            read_request_trace(path)
+            NATIVE.parse(path)
 
     def test_file_without_comment_line(self, tmp_path):
         path = tmp_path / "plain.csv"
         path.write_text("time,lba,nsectors,op\n0.5,10,8,W\n")
-        loaded = read_request_trace(path)
+        loaded = NATIVE.parse(path)
         assert len(loaded) == 1
         assert loaded.label == "plain"
 
@@ -93,7 +95,7 @@ class TestRequestTraceIo:
         )
         path = tmp_path / "labelled.csv"
         write_request_trace(original, path)
-        loaded = read_request_trace(path)
+        loaded = NATIVE.parse(path)
         assert loaded.label == label
         assert loaded.span == 2.0
 
@@ -201,13 +203,13 @@ class TestStrictAndPermissiveModes:
         path = tmp_path / "bad.csv"
         path.write_text(self.GOOD + "oops,0,8,R\n")
         with pytest.raises(TraceFormatError, match=rf"{path}:3"):
-            read_request_trace(path)
+            NATIVE.parse(path)
 
     def test_permissive_skips_and_quarantines(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text(self.GOOD + "oops,0,8,R\n1.5,20,8,W\n")
         quarantine = []
-        loaded = read_request_trace(path, strict=False, quarantine=quarantine)
+        loaded = NATIVE.parse(path, strict=False, quarantine=quarantine)
         assert len(loaded) == 2
         assert len(quarantine) == 1
         row = quarantine[0]
@@ -220,13 +222,13 @@ class TestStrictAndPermissiveModes:
     def test_permissive_without_quarantine_list(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text(self.GOOD + "oops,0,8,R\n")
-        assert len(read_request_trace(path, strict=False)) == 1
+        assert len(NATIVE.parse(path, strict=False)) == 1
 
     def test_lineno_accounts_for_comment_header(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("# span=5.0 label=x\n" + self.GOOD + "bad,0,8,R\n")
         quarantine = []
-        read_request_trace(path, strict=False, quarantine=quarantine)
+        NATIVE.parse(path, strict=False, quarantine=quarantine)
         assert quarantine[0].lineno == 4
 
     def test_invariant_violations_quarantined(self, tmp_path):
@@ -240,7 +242,7 @@ class TestStrictAndPermissiveModes:
             + "4.0,0,8,Q\n"      # bad op
         )
         quarantine = []
-        loaded = read_request_trace(path, strict=False, quarantine=quarantine)
+        loaded = NATIVE.parse(path, strict=False, quarantine=quarantine)
         assert len(loaded) == 1
         reasons = " | ".join(row.reason for row in quarantine)
         assert "non-finite time" in reasons
@@ -253,14 +255,14 @@ class TestStrictAndPermissiveModes:
         path = tmp_path / "bad.csv"
         path.write_text(self.GOOD + "nan,0,8,R\n")
         with pytest.raises(TraceFormatError, match="non-finite time"):
-            read_request_trace(path)
+            NATIVE.parse(path)
 
     def test_file_level_problems_raise_in_both_modes(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b,c,d\n1,2,3,R\n")
         for strict in (True, False):
             with pytest.raises(TraceFormatError):
-                read_request_trace(path, strict=strict)
+                NATIVE.parse(path, strict=strict)
 
     def test_hourly_permissive_quarantines(self, tmp_path):
         path = tmp_path / "h.jsonl"
@@ -306,7 +308,7 @@ class TestCapacityHeader:
         path = tmp_path / "cap.csv"
         write_request_trace(trace, path)
         assert "capacity=1024" in path.read_text().splitlines()[0]
-        assert read_request_trace(path).capacity_sectors == 1024
+        assert NATIVE.parse(path).capacity_sectors == 1024
 
     def test_unknown_capacity_omitted(self, tmp_path):
         path = tmp_path / "nocap.csv"
@@ -314,7 +316,7 @@ class TestCapacityHeader:
             RequestTrace([0.0], [8], [8], [False], span=1.0), path
         )
         assert "capacity" not in path.read_text().splitlines()[0]
-        assert read_request_trace(path).capacity_sectors is None
+        assert NATIVE.parse(path).capacity_sectors is None
 
     def test_row_past_capacity_rejected_strict(self, tmp_path):
         path = tmp_path / "cap.csv"
@@ -324,7 +326,7 @@ class TestCapacityHeader:
             "0.0,96,8,R\n"
         )
         with pytest.raises(TraceFormatError, match="exceeds the header capacity"):
-            read_request_trace(path)
+            NATIVE.parse(path)
 
     def test_row_past_capacity_quarantined_permissive(self, tmp_path):
         path = tmp_path / "cap.csv"
@@ -335,7 +337,7 @@ class TestCapacityHeader:
             "1.0,96,8,R\n"
         )
         quarantine = []
-        loaded = read_request_trace(path, strict=False, quarantine=quarantine)
+        loaded = NATIVE.parse(path, strict=False, quarantine=quarantine)
         assert len(loaded) == 1
         assert loaded.capacity_sectors == 100
         assert quarantine[0].lineno == 4
@@ -349,10 +351,37 @@ class TestCapacityHeader:
             )
             for strict in (True, False):
                 with pytest.raises(TraceFormatError, match=rf"{path}:1"):
-                    read_request_trace(path, strict=strict)
+                    NATIVE.parse(path, strict=strict)
+
+    def test_row_past_span_rejected_strict_with_location(self, tmp_path):
+        path = tmp_path / "span.csv"
+        path.write_text(
+            "# span=5.0 label=x\n"
+            "time,lba,nsectors,op\n"
+            "1.0,0,8,R\n"
+            "10.0,8,8,W\n"
+        )
+        with pytest.raises(TraceFormatError, match=rf"{path}:4: .*header span"):
+            NATIVE.parse(path)
+
+    def test_row_past_span_quarantined_permissive(self, tmp_path):
+        path = tmp_path / "span.csv"
+        path.write_text(
+            "# span=5.0 label=x\n"
+            "time,lba,nsectors,op\n"
+            "1.0,0,8,R\n"
+            "10.0,8,8,W\n"
+            "4.5,16,8,R\n"
+        )
+        quarantine = []
+        loaded = NATIVE.parse(path, strict=False, quarantine=quarantine)
+        assert len(loaded) == 2
+        assert loaded.span == 5.0
+        assert [(row.lineno, row.content) for row in quarantine] == [(4, "10.0,8,8,W")]
+        assert "header span" in quarantine[0].reason
 
     def test_non_finite_span_header_rejected(self, tmp_path):
         path = tmp_path / "span.csv"
         path.write_text("# span=inf label=x\ntime,lba,nsectors,op\n")
         with pytest.raises(TraceFormatError, match="finite"):
-            read_request_trace(path)
+            NATIVE.parse(path)
