@@ -49,51 +49,43 @@ import numpy as np
 
 from repro.disk.drive import DiskDrive
 from repro.disk.faults import FaultEvent
-from repro.disk.mechanics import rotation_time
 from repro.disk.scheduler import pick_from_sorted
 from repro.tier import TieredDevice
 from repro.units import SECTOR_BYTES
 
-#: Rotational-latency draws are buffered in blocks of this many; bigger
-#: blocks amortize the numpy call, the tail past the last media access is
-#: discarded.
+#: Rotational-latency draws are buffered in blocks of at most this many
+#: (never more than the requests left to serve, so a short replay does not
+#: pay for a full block); bigger blocks amortize the numpy call, the tail
+#: past the last media access is discarded.
 DRAW_BLOCK = 4096
 
 
 def _precompute(drive: DiskDrive, columns: np.ndarray):
-    """Request-independent per-run tables and seek-curve constants.
+    """Request-independent per-run tables and the seek curve's constants.
 
-    The seek constants replicate :meth:`SeekProfile.seek_time` exactly:
-    the boundary/stroke terms are the same float64 values the scalar
-    method recomputes per call, so ``single + k * (sqrt(d) - 1.0)`` and
-    ``t_boundary + slope * (d - b)`` reproduce its results bit for bit
-    (``math.sqrt`` and ``np.sqrt`` agree on float64).
+    The constants are the ones :class:`~repro.disk.mechanics.SeekProfile`
+    derives at construction, so ``single + k * (sqrt(d) - 1.0)`` and
+    ``t_boundary + slope * (d - b)`` reproduce its ``seek_time`` bit for
+    bit.
     """
     lbas = columns["lba"]
     sizes = columns["size"]
     geometry = drive.geometry
-    rotation = rotation_time(drive.spec.rpm)
+    rotation = drive.rotation
     cyl_start = geometry.cylinders_of(lbas).tolist()
     cyl_end = geometry.cylinders_of(lbas + sizes - 1).tolist()
     media = (sizes * rotation / geometry.sectors_per_track_of(lbas)).tolist()
     seek = drive.seek
-    boundary = seek._boundary
-    sqrt_b = np.sqrt(boundary)
-    t_boundary = seek.single_cylinder + (
-        seek.full_stroke - seek.single_cylinder
-    ) * (sqrt_b - 1.0) / (np.sqrt(seek.max_distance) - 1.0)
-    k = (t_boundary - seek.single_cylinder) / (sqrt_b - 1.0)
-    slope = (seek.full_stroke - t_boundary) / (seek.max_distance - boundary)
     return (
         cyl_start,
         cyl_end,
         media,
         rotation,
         float(seek.single_cylinder),
-        float(t_boundary),
-        float(k),
-        float(slope),
-        boundary,
+        float(seek.t_boundary),
+        float(seek.k),
+        float(seek.slope),
+        seek.boundary,
         seek.max_distance,
     )
 
@@ -244,7 +236,9 @@ def replay_columnar(
                     positioning = 0.0
                 else:
                     if draw_pos == len(draw_buf):
-                        draw_buf = rng_uniform(0.0, rotation, DRAW_BLOCK).tolist()
+                        draw_buf = rng_uniform(
+                            0.0, rotation, min(DRAW_BLOCK, n - served)
+                        ).tolist()
                         draw_pos = 0
                     latency = draw_buf[draw_pos]
                     draw_pos += 1

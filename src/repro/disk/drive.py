@@ -13,14 +13,28 @@ would cover), a 15K-RPM performance drive, and a 7200-RPM nearline drive.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
 from repro.disk.cache import CacheConfig, DiskCache
 from repro.disk.geometry import DiskGeometry
-from repro.disk.mechanics import SeekProfile, rotation_time, transfer_time
+from repro.disk.mechanics import SeekProfile, rotation_time
 from repro.errors import DiskModelError
 from repro.units import SECTOR_BYTES, ms
+
+
+@lru_cache(maxsize=64)
+def _uniform_geometry(
+    heads: int, cylinders: int, nzones: int, outer_spt: int, inner_spt: int
+) -> DiskGeometry:
+    return DiskGeometry.uniform(
+        heads=heads,
+        cylinders=cylinders,
+        nzones=nzones,
+        outer_spt=outer_spt,
+        inner_spt=inner_spt,
+    )
 
 
 @dataclass(frozen=True)
@@ -48,13 +62,13 @@ class DriveSpec:
             )
 
     def geometry(self) -> DiskGeometry:
-        """Instantiate the zoned geometry this spec describes."""
-        return DiskGeometry.uniform(
-            heads=self.heads,
-            cylinders=self.cylinders,
-            nzones=self.nzones,
-            outer_spt=self.outer_spt,
-            inner_spt=self.inner_spt,
+        """The zoned geometry this spec describes.
+
+        Geometries are immutable, so every spec with the same layout
+        shares one instance instead of rebuilding it per drive.
+        """
+        return _uniform_geometry(
+            self.heads, self.cylinders, self.nzones, self.outer_spt, self.inner_spt
         )
 
     def seek_profile(self) -> SeekProfile:
@@ -142,6 +156,9 @@ class DiskDrive:
         self.spec = spec
         self.geometry = spec.geometry()
         self.seek = spec.seek_profile()
+        #: One platter revolution, seconds: the rotational-latency range
+        #: and the transfer-time numerator.
+        self.rotation = rotation_time(spec.rpm)
         self.cache = DiskCache(spec.cache)
         self._rng = np.random.default_rng(seed)
         self._seed = seed
@@ -233,7 +250,7 @@ class DiskDrive:
             positioning = 0.0
         else:
             distance = abs(target_cylinder - self._head_cylinder)
-            latency = float(self._rng.uniform(0.0, rotation_time(self.spec.rpm)))
+            latency = float(self._rng.uniform(0.0, self.rotation))
             seek_seconds = self.seek.seek_time(distance)
             positioning = seek_seconds + latency
             obs = self.obs
@@ -248,9 +265,8 @@ class DiskDrive:
                     "seek_end", now + seek_seconds, "drive",
                     to_cylinder=target_cylinder,
                 )
-        media = transfer_time(
-            nsectors, self.geometry.sectors_per_track_at(media_lba), self.spec.rpm
-        )
+        # transfer_time's expression, over the cached revolution.
+        media = nsectors * self.rotation / self.geometry.sectors_per_track_at(media_lba)
         self._head_cylinder = self.geometry.cylinder_of(media_lba + nsectors - 1)
         self._last_media_end = media_lba + nsectors
         if not is_write:
@@ -304,7 +320,7 @@ class DiskDrive:
         prev_cyl[1:] = cyl_end[:-1]
         distances = np.abs(cyl_start - prev_cyl)
 
-        rotation = rotation_time(self.spec.rpm)
+        rotation = self.rotation
         latencies = np.zeros(n, dtype=np.float64)
         noncontiguous = ~contiguous
         draws = int(noncontiguous.sum())

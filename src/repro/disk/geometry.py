@@ -9,6 +9,7 @@ which captures both effects with O(#zones) lookup state.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import List, Sequence
 
@@ -94,7 +95,11 @@ class DiskGeometry:
         self.zones: List[Zone] = zones
         self.total_cylinders = cylinder
         self.capacity_sectors = lba
-        self._zone_first_lbas = np.array([z.first_lba for z in zones], dtype=np.int64)
+        # Scalar lookups bisect the plain list, so a request in hook mode
+        # or the event loop makes no numpy call; batch lookups search the
+        # array twin.
+        self._zone_first_lba_list = [z.first_lba for z in zones]
+        self._zone_first_lbas = np.array(self._zone_first_lba_list, dtype=np.int64)
         self._zone_first_cyls = np.array([z.first_cylinder for z in zones], dtype=np.int64)
         self._zone_spts = np.array([z.sectors_per_track for z in zones], dtype=np.int64)
 
@@ -129,8 +134,7 @@ class DiskGeometry:
     def zone_of(self, lba: int) -> Zone:
         """The zone containing ``lba``."""
         self._check_lba(lba)
-        index = int(np.searchsorted(self._zone_first_lbas, lba, side="right")) - 1
-        return self.zones[index]
+        return self.zones[bisect_right(self._zone_first_lba_list, lba) - 1]
 
     def cylinder_of(self, lba: int) -> int:
         """The cylinder containing ``lba``."""

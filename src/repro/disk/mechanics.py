@@ -13,6 +13,7 @@ average, and full-stroke seek time.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import sqrt
 
 import numpy as np
 
@@ -54,10 +55,22 @@ class SeekProfile:
             raise DiskModelError(
                 f"boundary_fraction must be in (0, 1), got {self.boundary_fraction!r}"
             )
-
-    @property
-    def _boundary(self) -> int:
-        return max(2, int(self.boundary_fraction * self.max_distance))
+        # The curve's constants, derived once. sqrt regime:
+        # t(d) = single + k * (sqrt(d) - 1), pinned so that
+        # t(1) = single_cylinder and t(b) = t_boundary; linear regime:
+        # t(d) = t_boundary + slope * (d - b). ``math.sqrt`` and
+        # ``np.sqrt`` are both the correctly rounded float64 square root.
+        boundary = max(2, int(self.boundary_fraction * self.max_distance))
+        single = self.single_cylinder
+        t_boundary = single + (self.full_stroke - single) * (
+            sqrt(boundary) - 1.0
+        ) / (sqrt(self.max_distance) - 1.0)
+        object.__setattr__(self, "boundary", boundary)
+        object.__setattr__(self, "t_boundary", t_boundary)
+        object.__setattr__(self, "k", (t_boundary - single) / (sqrt(boundary) - 1.0))
+        object.__setattr__(
+            self, "slope", (self.full_stroke - t_boundary) / (self.max_distance - boundary)
+        )
 
     def seek_time(self, distance: int) -> float:
         """Seek time in seconds for a move of ``distance`` cylinders.
@@ -71,17 +84,9 @@ class SeekProfile:
         if distance == 0:
             return 0.0
         d = min(distance, self.max_distance)
-        b = self._boundary
-        # sqrt regime: t(d) = single + k * (sqrt(d) - 1), pinned so that
-        # t(1) = single_cylinder and t(b) = t_boundary.
-        t_boundary = self.single_cylinder + (self.full_stroke - self.single_cylinder) * (
-            np.sqrt(b) - 1.0
-        ) / (np.sqrt(self.max_distance) - 1.0)
-        if d <= b:
-            k = (t_boundary - self.single_cylinder) / (np.sqrt(b) - 1.0)
-            return float(self.single_cylinder + k * (np.sqrt(d) - 1.0))
-        slope = (self.full_stroke - t_boundary) / (self.max_distance - b)
-        return float(t_boundary + slope * (d - b))
+        if d <= self.boundary:
+            return self.single_cylinder + self.k * (sqrt(d) - 1.0)
+        return self.t_boundary + self.slope * (d - self.boundary)
 
     def seek_times(self, distances: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`seek_time` over an array of distances.
@@ -93,15 +98,9 @@ class SeekProfile:
         if d.size and int(d.min()) < 0:
             raise DiskModelError(f"seek distance must be >= 0, got {int(d.min())!r}")
         d = np.minimum(d, self.max_distance)
-        b = self._boundary
-        t_boundary = self.single_cylinder + (self.full_stroke - self.single_cylinder) * (
-            np.sqrt(b) - 1.0
-        ) / (np.sqrt(self.max_distance) - 1.0)
-        k = (t_boundary - self.single_cylinder) / (np.sqrt(b) - 1.0)
-        slope = (self.full_stroke - t_boundary) / (self.max_distance - b)
-        sqrt_regime = self.single_cylinder + k * (np.sqrt(d) - 1.0)
-        linear_regime = t_boundary + slope * (d - b)
-        times = np.where(d <= b, sqrt_regime, linear_regime)
+        sqrt_regime = self.single_cylinder + self.k * (np.sqrt(d) - 1.0)
+        linear_regime = self.t_boundary + self.slope * (d - self.boundary)
+        times = np.where(d <= self.boundary, sqrt_regime, linear_regime)
         return np.where(d == 0, 0.0, times)
 
     def average_seek(self, samples: int = 512) -> float:

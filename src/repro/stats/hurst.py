@@ -67,14 +67,16 @@ def hurst_aggregate_variance(
     return float(np.clip(1.0 + slope / 2.0, 0.0, 1.0))
 
 
-def _rescaled_range(segment: np.ndarray) -> float:
-    centered = segment - segment.mean()
-    cumulative = np.cumsum(centered)
-    spread = cumulative.max() - cumulative.min()
-    scale = segment.std(ddof=0)
-    if scale == 0:
-        return float("nan")
-    return float(spread / scale)
+def _rescaled_ranges(chunks: np.ndarray) -> np.ndarray:
+    """R/S of every row of ``chunks`` (one chunk per row) in one array
+    pass; a zero-variance row gives NaN."""
+    centered = chunks - chunks.mean(axis=1, keepdims=True)
+    cumulative = np.cumsum(centered, axis=1)
+    spread = cumulative.max(axis=1) - cumulative.min(axis=1)
+    scale = chunks.std(axis=1, ddof=0)
+    return np.divide(
+        spread, scale, out=np.full(spread.shape, np.nan), where=scale != 0
+    )
 
 
 def hurst_rescaled_range(
@@ -101,12 +103,12 @@ def hurst_rescaled_range(
     log_rs = []
     for size in sizes:
         chunks = values[: (values.size // size) * size].reshape(-1, size)
-        rs = [_rescaled_range(chunk) for chunk in chunks]
-        rs = [v for v in rs if np.isfinite(v) and v > 0]
-        if not rs:
+        rs = _rescaled_ranges(chunks)
+        rs = rs[np.isfinite(rs) & (rs > 0)]
+        if not rs.size:
             continue
         log_sizes.append(np.log(size))
-        log_rs.append(np.log(np.mean(rs)))
+        log_rs.append(np.log(rs.mean()))
     if len(log_sizes) < 2:
         return float("nan")
     slope = np.polyfit(log_sizes, log_rs, 1)[0]

@@ -11,6 +11,8 @@ A mix model is a callable: given a count, return boolean is-write flags.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 import numpy as np
 
 from repro.errors import SynthesisError
@@ -68,16 +70,30 @@ class MarkovMix:
 
     def generate(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """Is-write flags for ``n`` requests."""
-        flags = np.zeros(n, dtype=bool)
         if n == 0:
-            return flags
+            return np.zeros(0, dtype=bool)
         in_major = bool(
             rng.uniform() < max(self.write_fraction, 1.0 - self.write_fraction)
         )
         uniforms = rng.uniform(size=n)
-        for i in range(n):
-            flags[i] = in_major == self._major_is_write
-            leave = self._leave_major if in_major else self._leave_minor
-            if uniforms[i] < leave:
-                in_major = not in_major
-        return flags
+        # Request i is served in the current state, and the state flips
+        # after it when uniforms[i] falls below that state's leave
+        # probability: jump from one flip to the next.
+        leaves = {
+            True: np.flatnonzero(uniforms < self._leave_major).tolist(),
+            False: np.flatnonzero(uniforms < self._leave_minor).tolist(),
+        }
+        flipped = np.zeros(n, dtype=bool)  # the state changed before i
+        state = in_major
+        i = 0
+        while i < n:
+            candidates = leaves[state]
+            k = bisect_left(candidates, i)
+            if k == len(candidates):
+                break
+            i = candidates[k] + 1
+            if i < n:
+                flipped[i] = True
+            state = not state
+        major = (np.cumsum(flipped) % 2 == 0) == in_major
+        return major == self._major_is_write

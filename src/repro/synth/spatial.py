@@ -76,20 +76,36 @@ class SequentialRuns:
         """Start LBAs for requests of the given ``sizes``."""
         sizes = np.asarray(sizes, dtype=np.int64)
         n = sizes.size
-        starts = np.zeros(n, dtype=np.int64)
         if n == 0:
-            return starts
+            return np.zeros(0, dtype=np.int64)
+        capacity = self.capacity_sectors
         continue_p = 1.0 - 1.0 / self.mean_run_length
         jumps = rng.uniform(size=n) >= continue_p
         jumps[0] = True
-        position = 0
-        for i in range(n):
-            if jumps[i]:
-                position = int(rng.integers(0, self.capacity_sectors))
-            if position + sizes[i] > self.capacity_sectors:
-                position = 0  # wrap a run that reaches the end of the disk
-            starts[i] = position
-            position += int(sizes[i])
+        heads = np.flatnonzero(jumps)
+        # One scalar draw per run, in run order: the draws (and the
+        # generator state they leave) of a request-by-request walk.
+        targets = np.array(
+            [int(rng.integers(0, capacity)) for _ in range(heads.size)],
+            dtype=np.int64,
+        )
+        # Inside a run each request starts where the previous one ended.
+        run = np.cumsum(jumps) - 1
+        offsets = np.cumsum(sizes) - sizes
+        starts = targets[run] + offsets - offsets[heads][run]
+        # A run wraps to LBA 0 at its first request that would pass the
+        # end of the disk; up to there the placement above is exact, so
+        # only the runs that overflow are walked again with that rule.
+        overflowing = np.flatnonzero(starts + sizes > capacity)
+        if overflowing.size:
+            bounds = np.append(heads, n).tolist()
+            for r in sorted(set(run[overflowing].tolist())):
+                position = int(targets[r])
+                for i in range(bounds[r], bounds[r + 1]):
+                    if position + sizes[i] > capacity:
+                        position = 0
+                    starts[i] = position
+                    position += int(sizes[i])
         return starts
 
 

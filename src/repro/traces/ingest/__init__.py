@@ -52,6 +52,7 @@ Usage::
         characterizer.add_chunk(chunk.times, chunk.nsectors, chunk.is_write)
 """
 
+from repro._lazy import lazy_exports
 from repro.traces.ingest.base import ParseRowError, TraceParser
 from repro.traces.ingest.registry import (
     available_formats,
@@ -63,7 +64,11 @@ from repro.traces.ingest.blktrace import BlktraceParser
 from repro.traces.ingest.alibaba import AlibabaParser
 from repro.traces.ingest.spc import SpcParser
 from repro.traces.ingest.native import NativeParser
-from repro.traces.ingest.source import TraceSource
+
+# The parsers register themselves on import, so they load with the
+# package; TraceSource (only ``run-suite --trace`` needs it) loads on
+# first access, which keeps it out of every CLI start.
+__getattr__, __dir__, _ = lazy_exports(globals(), {".source": ("TraceSource",)})
 
 __all__ = [
     "AlibabaParser",

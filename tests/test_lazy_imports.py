@@ -18,6 +18,7 @@ LAZY_PACKAGES = (
     "repro.stats",
     "repro.synth",
     "repro.traces",
+    "repro.traces.ingest",
 )
 
 # Modules no run-suite or fleet invocation needs before it parses its
@@ -30,6 +31,27 @@ NOT_AT_CLI_START = (
     "repro.core.lifetime_analysis",
     "repro.core.dossier",
 )
+
+
+def test_build_parser_skips_trace_source():
+    # build_parser imports repro.traces.ingest for the --format choices;
+    # TraceSource is a lazy export, so listing formats must not load it.
+    code = (
+        "import importlib, sys\n"
+        "importlib.import_module('repro.cli.main').build_parser()\n"
+        "print('repro.traces.ingest' in sys.modules,"
+        " 'repro.traces.ingest.source' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True, timeout=60,
+    )
+    assert out.stdout.strip() == "True False"
+    from repro.traces.ingest import TraceSource
+    from repro.traces.ingest.source import TraceSource as defined
+
+    assert TraceSource is defined
 
 
 def test_cli_import_skips_unused_subsystems():

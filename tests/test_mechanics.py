@@ -29,7 +29,7 @@ class TestSeekProfile:
         assert all(b >= a - 1e-12 for a, b in zip(times, times[1:]))
 
     def test_continuous_at_regime_boundary(self, profile):
-        b = profile._boundary
+        b = profile.boundary
         below = profile.seek_time(b)
         above = profile.seek_time(b + 1)
         assert abs(above - below) < ms(0.05)

@@ -70,3 +70,80 @@ def test_mix_models_shape(seed, n, wf):
         flags = model.generate(rng, n)
         assert flags.size == n
         assert flags.dtype == bool
+
+
+def _sequential_runs_loop(model, rng, sizes):
+    """The request-by-request walk SequentialRuns.generate replaced: the
+    oracle its run-at-a-time placement must match bit for bit."""
+    sizes = np.asarray(sizes, dtype=np.int64)
+    n = sizes.size
+    starts = np.zeros(n, dtype=np.int64)
+    if n == 0:
+        return starts
+    continue_p = 1.0 - 1.0 / model.mean_run_length
+    jumps = rng.uniform(size=n) >= continue_p
+    jumps[0] = True
+    position = 0
+    for i in range(n):
+        if jumps[i]:
+            position = int(rng.integers(0, model.capacity_sectors))
+        if position + sizes[i] > model.capacity_sectors:
+            position = 0
+        starts[i] = position
+        position += int(sizes[i])
+    return starts
+
+
+def _markov_mix_loop(model, rng, n):
+    """The request-by-request state walk MarkovMix.generate replaced."""
+    flags = np.zeros(n, dtype=bool)
+    if n == 0:
+        return flags
+    in_major = bool(
+        rng.uniform() < max(model.write_fraction, 1.0 - model.write_fraction)
+    )
+    uniforms = rng.uniform(size=n)
+    for i in range(n):
+        flags[i] = in_major == model._major_is_write
+        leave = model._leave_major if in_major else model._leave_minor
+        if uniforms[i] < leave:
+            in_major = not in_major
+    return flags
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    seeds,
+    st.integers(0, 600),
+    st.floats(min_value=1.0, max_value=40.0),
+    st.sampled_from([5_000, 20_000, 1_000_000, 2**40]),
+    st.integers(1, 512),
+)
+def test_sequential_runs_match_the_request_loop(seed, n, run_length, capacity, max_size):
+    # 5,000-sector disks make runs reach the end and wrap, some twice.
+    sizes = np.random.default_rng(seed + 1).integers(1, max_size + 1, size=n)
+    model = SequentialRuns(capacity, mean_run_length=run_length)
+    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    starts = model.generate(rng, sizes)
+    expected = _sequential_runs_loop(model, oracle_rng, sizes)
+    assert starts.dtype == expected.dtype
+    assert np.array_equal(starts, expected)
+    # Same draws in the same order: the generator is left where it was.
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    seeds,
+    st.integers(0, 3000),
+    st.floats(min_value=0.01, max_value=0.99),
+    st.floats(min_value=1.0, max_value=50.0),
+)
+def test_markov_mix_matches_the_request_loop(seed, n, wf, run_length):
+    model = MarkovMix(wf, mean_run_length=run_length)
+    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    flags = model.generate(rng, n)
+    expected = _markov_mix_loop(model, oracle_rng, n)
+    assert flags.dtype == expected.dtype
+    assert np.array_equal(flags, expected)
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
