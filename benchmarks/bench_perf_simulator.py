@@ -17,11 +17,14 @@ The matrix pins four engine configurations:
   the columnar loop with a 32-entry window.
 
 Each configuration's ``speedup`` is the fast path over a *yardstick*: the
-reference event loop on the identical trace, driving a drive whose zone
-lookup and seek curve are frozen copies of the scalar media path as it
-was before its per-call numpy was removed (one scalar ``np.searchsorted``
-per zone lookup, the seek constants re-derived with ``np.sqrt`` on every
-call; see :func:`yardstick_drive`). The live reference loop shares
+reference event loop on the identical trace, driving a drive whose
+scalar media path is a frozen copy of the layered one it once was: its
+``service_time`` and ``cylinder_of`` go through the geometry's
+``cylinder_of``/``sectors_per_track_at`` per call, over one scalar
+``np.searchsorted`` per zone lookup, re-derive the seek curve's
+constants with ``np.sqrt`` on every call, draw each rotational latency
+with ``uniform`` and scan the read-ahead segments with ``any`` (see
+:func:`yardstick_drive`). The live reference loop shares
 ``DiskDrive.service_time`` with hook mode, so every speed-up of the
 drive's scalar path speeds the oracle too; a ratio over the live loop
 would then read a faster oracle as a slower fast engine. The yardstick
@@ -52,13 +55,14 @@ import numpy as np
 
 from repro.core.report import Table
 from repro.core.runner import ExperimentJob
-from repro.disk.cache import CacheConfig
+from repro.disk.cache import CacheConfig, DiskCache
 from repro.disk.drive import DiskDrive
 from repro.disk.geometry import DiskGeometry
 from repro.disk.mechanics import SeekProfile
 from repro.disk.simulator import DiskSimulator
 from repro.errors import DiskModelError
 from repro.synth.profiles import get_profile
+from repro.units import SECTOR_BYTES
 
 ARTIFACT = Path(__file__).parent.parent / "BENCH_simulator.json"
 
@@ -122,10 +126,84 @@ class _PerCallSeek(SeekProfile):
         return float(t_boundary + slope * (d - b))
 
 
+class _AnyCache(DiskCache):
+    """The frozen read-ahead lookup: one ``any`` over a generator."""
+
+    def read_hit(self, lba, nsectors):
+        if not self.config.read_ahead:
+            return False
+        end = lba + nsectors
+        hit = any(start <= lba and end <= stop for start, stop in self._segments)
+        if hit and self.obs is not None and self.obs.enabled:
+            self.obs.metrics.counter("cache.read_hits").inc()
+        return hit
+
+
+class _LayeredDrive(DiskDrive):
+    """The frozen scalar media path: every lookup through the geometry,
+    a ``uniform(0, rotation)`` draw per positioning."""
+
+    def cylinder_of(self, lba):
+        if self.faults is not None:
+            lba = self.faults.effective_lba(lba)
+        return self.geometry.cylinder_of(lba)
+
+    def service_time(self, lba, nsectors, is_write, now):
+        if nsectors <= 0:
+            raise DiskModelError(f"nsectors must be > 0, got {nsectors!r}")
+        if lba < 0 or lba + nsectors > self.geometry.capacity_sectors:
+            raise DiskModelError(
+                f"request [{lba}, {lba + nsectors}) exceeds capacity "
+                f"{self.geometry.capacity_sectors}"
+            )
+        faults = self.faults
+        if faults is not None:
+            self._last_fault = None
+        if not is_write and self.cache.read_hit(lba, nsectors):
+            return self.spec.cache.hit_overhead
+        if is_write and self.cache.absorb_write(nsectors * SECTOR_BYTES, now):
+            return self.spec.cache.hit_overhead
+        media_lba = lba if faults is None else faults.effective_lba(lba, nsectors)
+        target_cylinder = self.geometry.cylinder_of(media_lba)
+        contiguous = media_lba == self._last_media_end
+        if contiguous:
+            positioning = 0.0
+        else:
+            distance = abs(target_cylinder - self._head_cylinder)
+            latency = float(self._rng.uniform(0.0, self.rotation))
+            seek_seconds = self.seek.seek_time(distance)
+            positioning = seek_seconds + latency
+            obs = self.obs
+            if obs is not None and obs.tracing and distance > 0:
+                obs.emit(
+                    "seek_start", now, "drive",
+                    from_cylinder=self._head_cylinder,
+                    to_cylinder=target_cylinder,
+                    distance=distance,
+                )
+                obs.emit(
+                    "seek_end", now + seek_seconds, "drive",
+                    to_cylinder=target_cylinder,
+                )
+        media = nsectors * self.rotation / self.geometry.sectors_per_track_at(media_lba)
+        self._head_cylinder = self.geometry.cylinder_of(media_lba + nsectors - 1)
+        self._last_media_end = media_lba + nsectors
+        if not is_write:
+            self.cache.note_read(lba, nsectors)
+        service = self.spec.command_overhead + positioning + media
+        if faults is not None:
+            service, self._last_fault = faults.on_media_access(
+                lba, nsectors, service, now
+            )
+        return service
+
+
 def yardstick_drive(spec):
-    """A drive of ``spec`` whose geometry and seek curve are the frozen
-    copies above: the fixed denominator of every ``speedup``."""
-    drive = DiskDrive(spec, seed=SEED)
+    """A drive of ``spec`` whose media path, geometry, seek curve and
+    read-ahead lookup are the frozen copies above: the fixed denominator
+    of every ``speedup``."""
+    drive = _LayeredDrive(spec, seed=SEED)
+    drive.cache = _AnyCache(spec.cache)
     drive.geometry = _SearchsortedGeometry.uniform(
         heads=spec.heads,
         cylinders=spec.cylinders,

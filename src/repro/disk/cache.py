@@ -143,10 +143,13 @@ class DiskCache:
         if not self.config.read_ahead:
             return False
         end = lba + nsectors
-        hit = any(start <= lba and end <= stop for start, stop in self._segments)
-        if hit and self.obs is not None and self.obs.enabled:
-            self.obs.metrics.counter("cache.read_hits").inc()
-        return hit
+        for start, stop in self._segments:
+            if start <= lba and end <= stop:
+                obs = self.obs
+                if obs is not None and obs.enabled:
+                    obs.metrics.counter("cache.read_hits").inc()
+                return True
+        return False
 
     def note_read(self, lba: int, nsectors: int) -> None:
         """Record the extent a read (plus prefetch) leaves in the cache."""

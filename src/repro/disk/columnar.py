@@ -124,9 +124,10 @@ def replay_columnar(
     head, last_media_end = drive.export_kinematics()
     if hooked:
         # Fault reassignment moves cylinders mid-run, so admission keys
-        # come from the device at admission time, not from a precompute.
+        # come from the drive at admission time, not from a precompute
+        # (a tier only delegates both the key and the head to it).
         service_time = device.service_time
-        cylinder_of = device.cylinder_of
+        cylinder_of = drive.cylinder_of
         take_fault_event = (
             device.take_fault_event if drive.faults is not None else None
         )
@@ -201,7 +202,7 @@ def replay_columnar(
                 event = take_fault_event()
                 if event is not None:
                     events.append(replace(event, index=i))
-            head = device.head_cylinder
+            head = drive._head_cylinder
         else:
             # DiskDrive.service_time, inlined: cache first, then media.
             lba = lba_list[i]

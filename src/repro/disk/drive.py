@@ -12,6 +12,7 @@ would cover), a 15K-RPM performance drive, and a 7200-RPM nearline drive.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
@@ -159,6 +160,19 @@ class DiskDrive:
         #: One platter revolution, seconds: the rotational-latency range
         #: and the transfer-time numerator.
         self.rotation = rotation_time(spec.rpm)
+        # The scalar media path's tables, as plain Python values: per
+        # zone (outermost first) its first LBA, first cylinder, sectors
+        # per cylinder and sectors per track.
+        geometry = self.geometry
+        self._capacity = geometry.capacity_sectors
+        self._zone_lbas = [z.first_lba for z in geometry.zones]
+        self._zone_cylinders = [z.first_cylinder for z in geometry.zones]
+        self._zone_per_cylinder = [
+            z.sectors_per_track * geometry.heads for z in geometry.zones
+        ]
+        self._zone_spts = [z.sectors_per_track for z in geometry.zones]
+        self._overhead = spec.command_overhead
+        self._hit_overhead = spec.cache.hit_overhead
         self.cache = DiskCache(spec.cache)
         self._rng = np.random.default_rng(seed)
         self._seed = seed
@@ -202,12 +216,19 @@ class DiskDrive:
         self._last_media_end = last_media_end
 
     def cylinder_of(self, lba: int) -> int:
-        """Delegate to the geometry (used by the scheduler glue), through
-        the fault model's reassignment map when one is attached — the
-        scheduler must aim where the heads will actually go."""
+        """The geometry's cylinder of ``lba`` (used by the scheduler
+        glue), through the fault model's reassignment map when one is
+        attached — the scheduler must aim where the heads will actually
+        go."""
         if self.faults is not None:
             lba = self.faults.effective_lba(lba)
-        return self.geometry.cylinder_of(lba)
+        if lba < 0 or lba >= self._capacity:
+            raise DiskModelError(
+                f"LBA {lba!r} outside drive capacity {self._capacity}"
+            )
+        firsts = self._zone_lbas
+        zone = bisect_right(firsts, lba) - 1
+        return self._zone_cylinders[zone] + (lba - firsts[zone]) // self._zone_per_cylinder[zone]
 
     def take_fault_event(self):
         """Pop the fault event of the most recent ``service_time`` call
@@ -222,35 +243,50 @@ class DiskDrive:
 
         Raises :class:`DiskModelError` if the request extends past the
         drive's capacity.
+
+        The geometry's ``cylinder_of``/``sectors_per_track_at`` and the
+        rotational draw are inlined over the drive's zone tables: one
+        zone bisect for the first media LBA, one for the last.
+        ``random() * rotation`` is the value ``uniform(0, rotation)``
+        yields (``0 + rotation * random()``) from the same one draw.
         """
+        capacity = self._capacity
         if nsectors <= 0:
             raise DiskModelError(f"nsectors must be > 0, got {nsectors!r}")
-        if lba < 0 or lba + nsectors > self.geometry.capacity_sectors:
+        if lba < 0 or lba + nsectors > capacity:
             raise DiskModelError(
-                f"request [{lba}, {lba + nsectors}) exceeds capacity "
-                f"{self.geometry.capacity_sectors}"
+                f"request [{lba}, {lba + nsectors}) exceeds capacity {capacity}"
             )
 
         faults = self.faults
         if faults is not None:
             self._last_fault = None
 
-        if not is_write and self.cache.read_hit(lba, nsectors):
-            return self.spec.cache.hit_overhead
-
-        if is_write and self.cache.absorb_write(nsectors * SECTOR_BYTES, now):
-            return self.spec.cache.hit_overhead
+        if is_write:
+            if self.cache.absorb_write(nsectors * SECTOR_BYTES, now):
+                return self._hit_overhead
+        elif self.cache.read_hit(lba, nsectors):
+            return self._hit_overhead
 
         # Media access: position and transfer. With a fault model attached
         # the heads go to the reassigned location, not the logical LBA.
         media_lba = lba if faults is None else faults.effective_lba(lba, nsectors)
-        target_cylinder = self.geometry.cylinder_of(media_lba)
-        contiguous = media_lba == self._last_media_end
-        if contiguous:
+        media_last = media_lba + nsectors - 1
+        if media_lba < 0 or media_last >= capacity:
+            raise DiskModelError(
+                f"media access [{media_lba}, {media_last + 1}) exceeds "
+                f"capacity {capacity}"
+            )
+        firsts = self._zone_lbas
+        cylinders = self._zone_cylinders
+        per_cylinder = self._zone_per_cylinder
+        zone = bisect_right(firsts, media_lba) - 1
+        if media_lba == self._last_media_end:
             positioning = 0.0
         else:
+            target_cylinder = cylinders[zone] + (media_lba - firsts[zone]) // per_cylinder[zone]
             distance = abs(target_cylinder - self._head_cylinder)
-            latency = float(self._rng.uniform(0.0, self.rotation))
+            latency = self._rng.random() * self.rotation
             seek_seconds = self.seek.seek_time(distance)
             positioning = seek_seconds + latency
             obs = self.obs
@@ -266,12 +302,13 @@ class DiskDrive:
                     to_cylinder=target_cylinder,
                 )
         # transfer_time's expression, over the cached revolution.
-        media = nsectors * self.rotation / self.geometry.sectors_per_track_at(media_lba)
-        self._head_cylinder = self.geometry.cylinder_of(media_lba + nsectors - 1)
+        media = nsectors * self.rotation / self._zone_spts[zone]
+        zone = bisect_right(firsts, media_last) - 1
+        self._head_cylinder = cylinders[zone] + (media_last - firsts[zone]) // per_cylinder[zone]
         self._last_media_end = media_lba + nsectors
         if not is_write:
             self.cache.note_read(lba, nsectors)
-        service = self.spec.command_overhead + positioning + media
+        service = self._overhead + positioning + media
         if faults is not None:
             service, self._last_fault = faults.on_media_access(
                 lba, nsectors, service, now

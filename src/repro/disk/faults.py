@@ -24,7 +24,7 @@ workers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -371,11 +371,6 @@ class FaultModel:
         ceiling = self.geometry.capacity_sectors - int(nsectors)
         return min(base + offset, max(ceiling, 0))
 
-    def _regions_touched(self, lba: int, nsectors: int) -> Iterable[int]:
-        first = int(lba) // self.profile.region_sectors
-        last = (int(lba) + int(nsectors) - 1) // self.profile.region_sectors
-        return range(first, last + 1)
-
     def _repaired(self, region: int, now: float) -> bool:
         when = self._repairs.get(region)
         return when is not None and now >= when
@@ -398,22 +393,27 @@ class FaultModel:
         """
         profile = self.profile
         service = float(base_service)
-        touched = list(self._regions_touched(lba, nsectors))
-
-        slow_hit = next((r for r in touched if r in self._slow), None)
-        if slow_hit is not None:
-            service *= profile.slow_factor
-
-        fault_region = next(
-            (
-                r
-                for r in touched
-                if r in self._latent
-                and r not in self._reassigned
-                and not self._repaired(r, now)
-            ),
-            None,
-        )
+        first = int(lba) // profile.region_sectors
+        last = (int(lba) + int(nsectors) - 1) // profile.region_sectors
+        if first == last and first not in self._slow and first not in self._latent:
+            # The common access: one region, neither slow nor latent, so
+            # only the transient draw below can fault it.
+            slow_hit = fault_region = None
+        else:
+            touched = range(first, last + 1)
+            slow_hit = next((r for r in touched if r in self._slow), None)
+            if slow_hit is not None:
+                service *= profile.slow_factor
+            fault_region = next(
+                (
+                    r
+                    for r in touched
+                    if r in self._latent
+                    and r not in self._reassigned
+                    and not self._repaired(r, now)
+                ),
+                None,
+            )
         kind: Optional[str] = None
         if fault_region is not None:
             kind = "latent"
@@ -422,7 +422,7 @@ class FaultModel:
             and self._rng.random() < profile.transient_error_prob
         ):
             kind = "transient"
-            fault_region = touched[0]
+            fault_region = first
 
         obs = self.obs
         observing = obs is not None and obs.enabled

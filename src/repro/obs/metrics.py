@@ -17,6 +17,8 @@ accumulators carry floating-point merge error.
 
 from __future__ import annotations
 
+import math
+from functools import lru_cache
 from typing import Any, Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -28,6 +30,64 @@ from repro.stats.moments import StreamingMoments
 DEFAULT_TIME_EDGES: Tuple[float, ...] = tuple(
     float(e) for e in np.logspace(-5, 1, 25)
 )
+
+
+#: Largest bucket-model table :func:`_edge_model` builds (cells).
+_MAX_MODEL_CELLS = 4096
+
+
+@lru_cache(maxsize=32)
+def _edge_model(edges: Tuple[float, ...]):
+    """Validated, read-only edges and their bucket model (None when it
+    does not apply), built once per distinct edge tuple: every run's
+    registry creates its histograms afresh, mostly with
+    :data:`DEFAULT_TIME_EDGES`.
+
+    ``searchsorted`` into even 25 edges is a per-value binary search.
+    For positive edges the bucket index follows from the bits of the
+    value instead: a positive float64 read as an int64 is monotone in
+    the value, and its top ``12 + k`` bits (exponent and ``k`` mantissa
+    bits) name a *cell* spanning a ``2**-k`` octave. ``k`` is the
+    smallest that puts at most one edge inside every cell, so a table
+    holding each cell's insertion index at its lower bound is the
+    exact ``searchsorted(edges, value, side="right")`` up to one upward
+    snap. The model is ``(shift, first_cell, last_cell, table, upper)``
+    with ``upper[j]`` (the edges, then ``inf``) the least value whose
+    index exceeds ``j``.
+    """
+    edges_arr = np.asarray(edges, dtype=np.float64)
+    if edges_arr.size < 2:
+        raise ObservabilityError(f"histogram needs >= 2 edges, got {edges_arr.size}")
+    if not np.all(np.isfinite(edges_arr)):
+        raise ObservabilityError("histogram edges must be finite")
+    if np.any(np.diff(edges_arr) <= 0):
+        raise ObservabilityError("histogram edges must be strictly increasing")
+    edges_arr.setflags(write=False)
+    if edges_arr[0] <= 0:
+        return edges_arr, None
+    keys = edges_arr.view(np.int64)
+    upper = np.append(edges_arr, np.inf)
+    for k in range(9):
+        shift = 52 - k
+        # One cell below the first edge and one above the last: values
+        # outside them clip there and land in underflow/overflow.
+        first, last = int(keys[0] >> shift) - 1, int(keys[-1] >> shift) + 1
+        if last - first >= _MAX_MODEL_CELLS:
+            break
+        cells = np.arange(first, last + 2, dtype=np.int64) << shift
+        if first < 0 or cells[-1] > np.float64(np.inf).view(np.int64):
+            break
+        bounds = cells.view(np.float64)
+        table = np.searchsorted(edges_arr, bounds[:-1], side="right")
+        tops = np.searchsorted(
+            edges_arr, np.nextafter(bounds[1:], -np.inf), side="right"
+        )
+        if int((tops - table).max()) <= 1:
+            table = table.astype(np.int64)
+            table.setflags(write=False)
+            upper.setflags(write=False)  # shared by every histogram
+            return edges_arr, (shift, first, last, table, upper)
+    return edges_arr, None
 
 
 class Counter:
@@ -144,76 +204,30 @@ class FixedHistogram:
 
     def __init__(self, edges: Sequence[float]) -> None:
         edges_arr = np.asarray(edges, dtype=np.float64)
-        if edges_arr.ndim != 1 or edges_arr.size < 2:
+        if edges_arr.ndim != 1:
             raise ObservabilityError(
                 f"histogram needs >= 2 edges, got {edges_arr.size}"
             )
-        if not np.all(np.isfinite(edges_arr)):
-            raise ObservabilityError("histogram edges must be finite")
-        if np.any(np.diff(edges_arr) <= 0):
-            raise ObservabilityError("histogram edges must be strictly increasing")
-        self.edges = edges_arr
-        self.edges.setflags(write=False)
-        self.counts = np.zeros(edges_arr.size - 1, dtype=np.int64)
+        self.edges, self._model = _edge_model(tuple(edges_arr.tolist()))
+        self.counts = np.zeros(self.edges.size - 1, dtype=np.int64)
         self.underflow = 0
         self.overflow = 0
         self.moments = StreamingMoments()
-        self._init_log_bucketing()
-
-    def _init_log_bucketing(self) -> None:
-        """Precompute the analytic bucket model for log-spaced edges.
-
-        ``searchsorted`` into even 25 edges is a per-value binary search
-        and dominates ``observe_many`` wall time; when the edges are
-        (near-)geometric — as :data:`DEFAULT_TIME_EDGES` is — the bucket
-        index is just an affine function of ``log(value)``. The model
-        only needs to land within one bucket of the truth (checked here
-        at every edge); :meth:`observe_many` snaps the candidate to the
-        exact ``searchsorted`` answer with two vectorized comparisons
-        against the real edges, so the counts are identical either way.
-        """
-        self._log_origin = 0.0
-        self._log_step = 0.0
-        self._log_pad: Optional[np.ndarray] = None
-        edges = self.edges
-        if edges[0] <= 0:
-            return
-        log_edges = np.log(edges)
-        step = (log_edges[-1] - log_edges[0]) / (edges.size - 1)
-        if step <= 0:
-            return
-        positions = (log_edges - log_edges[0]) / step
-        if np.abs(positions - np.arange(edges.size)).max() >= 0.25:
-            return
-        self._log_origin = float(log_edges[0])
-        self._log_inv_step = 1.0 / float(step)
-        # pad[j] <= value < pad[j+1] characterizes insertion index j.
-        self._log_pad = np.concatenate(([-np.inf], edges, [np.inf]))
 
     def _bucket_indices(self, values_arr: np.ndarray) -> np.ndarray:
         """``searchsorted(edges, values, side="right")``, the fast way
-        when the log-spaced model applies."""
-        pad = self._log_pad
-        if pad is None:
+        when the bucket model of :func:`_edge_model` applies."""
+        model = self._model
+        if model is None:
             return np.searchsorted(self.edges, values_arr, side="right")
-        # Non-positive values can't go through log; clamping them to a
-        # value far below edges[0] sends them to the underflow side, and
-        # the exact comparisons below only ever see the original values.
-        # Everything runs in-place on one scratch array: this path exists
-        # to be cheap, and the temporaries were half its cost.
-        scratch = np.maximum(values_arr, self.edges[0] * 1e-20)
-        np.log(scratch, out=scratch)
-        scratch -= self._log_origin
-        scratch *= self._log_inv_step
-        np.clip(scratch, -1.0, self.edges.size - 1.0, out=scratch)
-        # int64 cast truncates toward zero rather than flooring; the only
-        # region where that differs, (-1, 0), still lands within one
-        # bucket of the truth, which the snap below corrects anyway.
-        indices = scratch.astype(np.int64)
-        indices += 1
-        # The model is within +-1 of the truth: one snap each direction.
-        indices += values_arr >= pad[indices + 1]
-        indices -= values_arr < pad[indices]
+        shift, first, last, table, upper = model
+        # Negative values read as negative ints and clip to the cell
+        # below the first edge, like every other value under it.
+        cells = values_arr.view(np.int64) >> shift
+        np.clip(cells, first, last, out=cells)
+        cells -= first
+        indices = table.take(cells)
+        indices += values_arr >= upper.take(indices)
         return indices
 
     @property
@@ -232,7 +246,7 @@ class FixedHistogram:
             return
         # min/max propagate NaN and retain inf, so two reductions check
         # finiteness of the whole batch (cheaper than isfinite().all()).
-        if not (np.isfinite(values_arr.min()) and np.isfinite(values_arr.max())):
+        if not (math.isfinite(values_arr.min()) and math.isfinite(values_arr.max())):
             raise ObservabilityError("histogram observations must be finite")
         # Insertion indices land in [0, n_edges]: 0 is underflow,
         # n_edges is overflow, and everything in between maps to bucket

@@ -23,12 +23,17 @@ Admission modes (the two exemplar cache-tier disciplines):
   *synchronously* — the foreground request pays the HDD write, which is
   exactly where write-back's miss-tail inflation comes from.
 
-Eviction picks the coldest resident chunk, ``min((score, chunk))``. For
-policies whose score changes only on a touch (``lru``, ``lfu``; see
-:attr:`~repro.tier.policy.HeatPolicy.indexable`) the device keeps a
-victim heap of ``(score, chunk)`` entries with lazy invalidation, so an
-eviction costs O(log capacity) instead of a scan of every resident
-chunk; ``rf`` and ``learned`` rank by ``now`` as well and keep the scan.
+Eviction picks the coldest resident chunk, ``min((score, chunk))``,
+without scoring every resident chunk when the policy allows it (see
+:attr:`~repro.tier.policy.HeatPolicy.indexable`). For ``lru`` the
+resident map is kept in last-touch order: a touched resident chunk moves
+to the end and an admitted one is appended, so the victim is the first
+chunk not being admitted, with ties broken by the lowest id inside its
+block of equal last-touch times; migration promotions re-sort the map.
+That costs no score call and no index entry. ``lfu`` keeps a victim
+heap of ``(score, chunk)`` entries with lazy invalidation, so an
+eviction costs O(log capacity); ``rf`` and ``learned`` rank by ``now``
+as well and keep the scan.
 
 Approximation notes (mirroring :mod:`repro.disk.cache`): interval
 flushes and migration copies are background traffic — they are counted
@@ -43,22 +48,23 @@ dirty remainder``) holds exactly and is asserted by property tests.
 from __future__ import annotations
 
 import heapq
+from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.disk.drive import DiskDrive
 from repro.errors import TierError
 from repro.tier.migration import MigrationEngine
-from repro.tier.policy import available_heat_policies, make_heat_policy
+from repro.tier.policy import LruPolicy, available_heat_policies, make_heat_policy
 from repro.tier.ssd import SsdSpec
 from repro.units import MIB, SECTOR_BYTES
 
 #: Admission modes: write-through and write-back.
 TIER_MODES = ("wt", "wb")
 
-#: The victim heap is rebuilt from the resident set once it holds more
+#: The ``lfu`` victim heap is rebuilt from the resident set once it holds more
 #: than ``HEAP_COMPACT_FACTOR * resident + HEAP_COMPACT_SLACK`` entries:
 #: every touch of a resident chunk pushes one, so a run that only hits
 #: would otherwise grow it without bound.
@@ -251,18 +257,28 @@ class TieredDevice:
         self._chunk_sectors = config.chunk_sectors
         self._chunk_bytes = config.chunk_bytes
         self._write_back = config.mode == "wb"
+        self._ssd = config.ssd
         self.stats = TierStats()
         #: Per-request hit flags in *service order*; the simulator maps
         #: them back to trace order through the start-time permutation.
         self.hit_log: List[bool] = []
-        #: chunk id -> dirty flag for every flash-resident chunk.
-        self._resident: Dict[int, bool] = {}
-        #: Victim index of an indexable policy (None: scan on eviction).
-        #: Every resident chunk has an entry holding its current score;
-        #: entries of evicted or since-touched chunks are stale and are
-        #: dropped when they reach the top.
+        #: chunk id -> dirty flag for every flash-resident chunk. For
+        #: ``lru`` it iterates in non-decreasing last-touch order (an
+        #: ordered map, so evicting from the front stays O(1)).
+        self._resident: OrderedDict[int, bool] = OrderedDict()
+        #: ``lru`` finds its victim at the front of ``_resident``.
+        self._recency = type(self.policy) is LruPolicy
+        #: The latest request time seen; a request before it (a clock
+        #: that went backwards, which no replay engine produces) leaves
+        #: ``_resident`` out of order until the next eviction re-sorts it.
+        self._latest = float("-inf")
+        self._unordered = False
+        #: Victim heap of the other indexable policies (None: recency
+        #: order or scan). Every resident chunk has an entry holding its
+        #: current score; entries of evicted or since-touched chunks are
+        #: stale and are dropped when they reach the top.
         self._heap: Optional[List[Tuple[float, int]]] = (
-            [] if self.policy.indexable else None
+            [] if self.policy.indexable and not self._recency else None
         )
         self._next_flush = config.flush_interval
         self._next_migrate = config.migrate_interval if self.engine else float("inf")
@@ -312,10 +328,6 @@ class TieredDevice:
     # ------------------------------------------------------------------
     # Chunk helpers
     # ------------------------------------------------------------------
-
-    def _chunks_of(self, lba: int, nsectors: int) -> range:
-        size = self._chunk_sectors
-        return range(lba // size, (lba + nsectors - 1) // size + 1)
 
     def _chunk_extent(self, chunk: int) -> tuple:
         """(lba, nsectors) of a chunk, clipped to drive capacity."""
@@ -390,6 +402,8 @@ class TieredDevice:
         for chunk in plan.promote:
             self._resident[chunk] = False
             self._index(chunk, now)
+        if self._recency and plan.promote:
+            self._sort_by_recency()
         self.stats.promoted_chunks += len(plan.promote)
         self.stats.demoted_chunks += len(plan.demote)
         self.stats.flushed_bytes += flushed
@@ -407,6 +421,16 @@ class TieredDevice:
     # Admission and eviction
     # ------------------------------------------------------------------
 
+    def _sort_by_recency(self) -> None:
+        """Restore ``lru``'s last-touch order of ``_resident`` (a stable
+        sort: equal last touches keep their order, the victim search
+        breaks those ties by id)."""
+        last_touch = self.policy._last_touch
+        ordered = sorted(self._resident.items(), key=lambda item: last_touch[item[0]])
+        self._resident.clear()
+        self._resident.update(ordered)
+        self._unordered = False
+
     def _index(self, chunk: int, now: float) -> None:
         """Give resident ``chunk`` a heap entry at its current score."""
         heap = self._heap
@@ -418,9 +442,25 @@ class TieredDevice:
             heap[:] = [(score(c, now), c) for c in self._resident]
             heapq.heapify(heap)
 
-    def _victim(self, incoming: Set[int], now: float) -> Optional[int]:
+    def _victim(self, incoming: Sequence[int], now: float) -> Optional[int]:
         """The coldest resident chunk not in ``incoming`` (ties: lowest
         id), or None when there is none."""
+        if self._recency:
+            if self._unordered:
+                self._sort_by_recency()
+            last_touch = self.policy._last_touch
+            victim = None
+            for chunk in self._resident:
+                if chunk in incoming:
+                    continue
+                if victim is None:
+                    victim = chunk
+                    oldest = last_touch[chunk]
+                elif last_touch[chunk] != oldest:
+                    break  # past the block of equal last touches
+                elif chunk < victim:
+                    victim = chunk
+            return victim
         heap = self._heap
         if heap is None:
             candidates = [c for c in self._resident if c not in incoming]
@@ -443,19 +483,19 @@ class TieredDevice:
             heapq.heappush(heap, entry)
         return victim
 
-    def _evict_for(self, incoming, now: float) -> float:
-        """Free space for ``incoming`` chunks; returns the synchronous
-        destage penalty (seconds) charged to the foreground request."""
+    def _admit(self, missing: Sequence[int], now: float) -> float:
+        """Place the non-resident chunks ``missing`` on flash (clean),
+        evicting to make room; returns the synchronous destage penalty
+        (seconds) charged to the foreground request."""
+        resident = self._resident
         capacity = self._capacity_chunks
-        if len(self._resident) + len(incoming) <= capacity:
-            return 0.0
+        room = capacity - len(missing)  # residents that can stay
         penalty = 0.0
-        incoming_set = set(incoming)
-        while len(self._resident) + len(incoming_set) > capacity:
-            victim = self._victim(incoming_set, now)
+        while len(resident) > room:
+            victim = self._victim(missing, now)
             if victim is None:
                 break
-            dirty = self._resident.pop(victim)
+            dirty = resident.pop(victim)
             self.stats.evictions += 1
             if dirty:
                 # Synchronous destage: flash read + HDD write of the
@@ -463,23 +503,18 @@ class TieredDevice:
                 self.stats.dirty_evictions += 1
                 self.stats.flushed_bytes += self._chunk_bytes
                 lba, nsectors = self._chunk_extent(victim)
-                penalty += self.config.ssd.service_time(nsectors, False)
+                penalty += self._ssd.service_time(nsectors, False)
                 penalty += self.drive.service_time(lba, nsectors, True, now)
                 if self.drive.faults is not None:
                     self.drive.take_fault_event()  # background; drop it
-        return penalty
-
-    def _admit(self, chunks, now: float) -> float:
-        """Place ``chunks`` on flash (clean); returns eviction penalty."""
-        missing = [c for c in chunks if c not in self._resident]
-        if not missing:
-            return 0.0
-        penalty = self._evict_for(missing, now)
-        capacity = self._capacity_chunks
+        heap = self._heap
         for chunk in missing:
-            if len(self._resident) < capacity:
-                self._resident[chunk] = False
-                self._index(chunk, now)
+            if len(resident) < capacity:
+                resident[chunk] = False
+                if heap is not None:
+                    self._index(chunk, now)
+        if now < self._latest:
+            self._unordered = True  # appended behind later touches
         return penalty
 
     # ------------------------------------------------------------------
@@ -490,69 +525,77 @@ class TieredDevice:
         """Service time of one request through the tier at time ``now``.
 
         Same contract as :meth:`DiskDrive.service_time`; the engines
-        cannot tell the difference.
+        cannot tell the difference. Flash serves a read whose chunks are
+        all resident and, in write-back mode, such a write (marking the
+        chunks dirty). Everything else goes to the drive, then a read
+        (or a write-back write) allocates its missing chunks.
         """
         if now >= self._next_epoch:
             self._advance(now)
-        chunks = self._chunks_of(lba, nsectors)
+        size = self._chunk_sectors
+        first = lba // size
+        last = (lba + nsectors - 1) // size
         touch = self.policy.touch
-        resident_map = self._resident
-        resident = True  # every chunk of the request is on flash
-        for chunk in chunks:
-            touch(chunk, now, is_write)
-            if chunk in resident_map:
-                self._index(chunk, now)
+        resident = self._resident
+        recency = self._recency
+        if recency:
+            if now < self._latest:
+                self._unordered = True
             else:
-                resident = False
+                self._latest = now
+        hit = True  # every chunk of the request is on flash
+        for chunk in range(first, last + 1):
+            touch(chunk, now, is_write)
+            if chunk not in resident:
+                hit = False
+            elif recency:
+                resident.move_to_end(chunk)
+            elif self._heap is not None:
+                self._index(chunk, now)
+        stats = self.stats
         nbytes = nsectors * SECTOR_BYTES
-        self.stats.bytes_total += nbytes
-
+        stats.bytes_total += nbytes
         if is_write:
-            self.stats.writes += 1
-            service, hit = self._serve_write(lba, nsectors, chunks, resident, now)
+            stats.writes += 1
         else:
-            self.stats.reads += 1
-            service, hit = self._serve_read(lba, nsectors, chunks, resident, now)
-        if not hit:
-            self.stats.bytes_to_hdd += nbytes
-        self.hit_log.append(hit)
+            stats.reads += 1
+        allocate = self._write_back or not is_write
+
+        if hit and allocate:
+            if is_write:
+                # Write-back hit: complete on flash, mark chunks dirty.
+                for chunk in range(first, last + 1):
+                    if not resident[chunk]:
+                        resident[chunk] = True
+                        stats.dirtied_bytes += self._chunk_bytes
+                stats.write_hits += 1
+            else:
+                stats.read_hits += 1
+            self.hit_log.append(True)
+            return self._ssd.service_time(nsectors, is_write)
+
+        # A miss, and every write-through write: the request goes to the
+        # HDD at media timing (a write-through write to resident chunks
+        # updates them in place, free: the flash write overlaps the much
+        # slower HDD write).
+        drive = self.drive
+        service = drive.service_time(lba, nsectors, is_write, now)
+        if drive.faults is not None:
+            self._pending_fault = drive.take_fault_event()
+        if allocate:
+            # Read-allocate, or write-allocate (clean: the data just went
+            # to the HDD) so the next write completes on flash. The fill
+            # is a background copy of data the head just passed over.
+            if first == last:
+                if first not in resident:
+                    service += self._admit((first,), now)
+            else:
+                missing = [c for c in range(first, last + 1) if c not in resident]
+                if missing:
+                    service += self._admit(missing, now)
+        stats.bytes_to_hdd += nbytes
+        self.hit_log.append(False)
         return service
-
-    def _serve_read(self, lba, nsectors, chunks, resident, now):
-        if resident:
-            self.stats.read_hits += 1
-            return self.config.ssd.service_time(nsectors, False), True
-        service = self.drive.service_time(lba, nsectors, False, now)
-        if self.drive.faults is not None:
-            self._pending_fault = self.drive.take_fault_event()
-        # Read-allocate: the missed chunks are now on flash (the fill is
-        # a background copy of data the head just passed over).
-        service += self._admit(chunks, now)
-        return service, False
-
-    def _serve_write(self, lba, nsectors, chunks, resident, now):
-        if self._write_back and resident:
-            # Write-back hit: complete on flash, mark chunks dirty.
-            chunk_bytes = self._chunk_bytes
-            for chunk in chunks:
-                if not self._resident[chunk]:
-                    self._resident[chunk] = True
-                    self.stats.dirtied_bytes += chunk_bytes
-            self.stats.write_hits += 1
-            return self.config.ssd.service_time(nsectors, True), True
-        # Write-through always, and write-back on a miss: the write goes
-        # to the HDD at media timing.
-        service = self.drive.service_time(lba, nsectors, True, now)
-        if self.drive.faults is not None:
-            self._pending_fault = self.drive.take_fault_event()
-        if self._write_back:
-            # Write-allocate (clean: the data just went to the HDD), so
-            # the next write to these chunks completes on flash.
-            service += self._admit(chunks, now)
-        # Write-through: resident chunks were updated in place (free,
-        # flash write overlaps the much slower HDD write); no allocation
-        # on a miss.
-        return service, False
 
     def hit_array(self) -> np.ndarray:
         """The per-request hit log as one boolean array (service order).

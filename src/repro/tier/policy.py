@@ -36,8 +36,10 @@ class HeatPolicy:
 
     #: True when a chunk's score changes only when the chunk is touched
     #: (never with ``now`` alone). :class:`~repro.tier.device.TieredDevice`
-    #: then keeps its resident chunks in a victim heap instead of
-    #: scanning them with :meth:`victim` on every eviction.
+    #: then finds the eviction victim without scanning the resident
+    #: chunks with :meth:`victim`: for :class:`LruPolicy`, whose score is
+    #: the last touch itself, it keeps them in last-touch order; for the
+    #: others it keeps a victim heap.
     indexable = False
 
     def __init__(self) -> None:
@@ -86,6 +88,20 @@ class LruPolicy(HeatPolicy):
 
     def score(self, chunk: int, now: float) -> float:
         return self._last_touch.get(chunk, float("-inf"))
+
+    def ranked(self, chunks: Iterable[int], now: float) -> list:
+        """``chunks`` most recent first (ties: lowest id first), keyed on
+        the last touch directly: the id sort, then a stable descending
+        sort by last touch."""
+        last_touch = self._last_touch
+        order = sorted(chunks)
+        try:
+            order.sort(key=last_touch.__getitem__, reverse=True)
+        except KeyError:
+            # An untracked chunk (score -inf) ranks after every other.
+            order.sort()
+            order.sort(key=lambda c: last_touch.get(c, float("-inf")), reverse=True)
+        return order
 
 
 class LfuPolicy(HeatPolicy):

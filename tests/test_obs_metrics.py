@@ -131,12 +131,13 @@ class TestFixedHistogram:
         assert rebuilt.as_dict() == hist.as_dict()
 
     def test_log_bucketing_matches_searchsorted_exactly(self):
-        """The analytic log-spaced bucket model must reproduce
+        """The float-bits bucket model (a table over exponent and top
+        mantissa bits, i.e. a piecewise log2) must reproduce
         ``searchsorted`` bit-for-bit, including at the edges themselves,
         one ulp either side of them, zero, and negative values."""
         edges = np.asarray(DEFAULT_TIME_EDGES)
         hist = FixedHistogram(edges)
-        assert hist._log_pad is not None  # the model applies to defaults
+        assert hist._model is not None  # the model applies to defaults
         rng = np.random.default_rng(17)
         values = np.concatenate([
             10.0 ** rng.uniform(-8, 3, 5000),
@@ -152,7 +153,7 @@ class TestFixedHistogram:
 
     def test_irregular_edges_fall_back_to_searchsorted(self):
         hist = FixedHistogram([0.0, 1.0, 5.0, 100.0])
-        assert hist._log_pad is None  # non-positive / non-geometric edges
+        assert hist._model is None  # a non-positive edge
         hist.observe_many([-1.0, 0.5, 3.0, 50.0, 1e6])
         assert hist.underflow == 1 and hist.overflow == 1
         assert list(hist.counts) == [1, 1, 1]

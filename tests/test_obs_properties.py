@@ -97,6 +97,28 @@ def test_histogram_conserves_observations(values):
 
 
 @given(
+    st.lists(st.floats(1e-12, 1e12), min_size=2, max_size=30, unique=True).map(sorted),
+    st.lists(
+        st.floats(-1e13, 1e13, allow_nan=False, allow_infinity=False),
+        max_size=200,
+    ),
+)
+def test_bucket_model_matches_searchsorted(edges, values):
+    """Any positive edges: the float-bits bucket model (or its
+    ``searchsorted`` fallback) is exact on and one ulp around every edge,
+    at zero, at negative zero and anywhere else."""
+    hist = FixedHistogram(edges)
+    probe = np.concatenate([
+        values, edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+        [0.0, -0.0],
+    ])
+    np.testing.assert_array_equal(
+        hist._bucket_indices(probe),
+        np.searchsorted(hist.edges, probe, side="right"),
+    )
+
+
+@given(
     st.lists(st.floats(-50, 50, allow_nan=False), max_size=50),
     st.lists(st.floats(-50, 50, allow_nan=False), max_size=50),
 )

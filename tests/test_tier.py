@@ -142,6 +142,7 @@ class TestHeatPolicies:
             policy = make_heat_policy(name)
             policy.touch(7, 1.0, False)
             assert policy.score(99, 2.0) == float("-inf")
+            assert policy.ranked([99, 7, 98], 2.0) == [7, 98, 99]
 
     def test_victim_requires_candidates(self):
         with pytest.raises(TierError):

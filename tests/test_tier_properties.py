@@ -1,13 +1,14 @@
 """Property tests of the tier subsystem's core guarantees:
 ``tier=None`` bit-identity, write-back byte conservation, migration
-determinism, and an LRU/LFU victim index that evicts exactly what a
-full scan would, at a cost that does not grow with capacity."""
+determinism, and LRU/LFU victim indexes (recency order, a heap) that
+evict exactly what a full scan would, at a cost that does not grow with
+capacity."""
 
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.disk.cache import CacheConfig
@@ -234,9 +235,18 @@ def _drive_requests(device, requests):
         yield
 
 
+def _assert_recency_ordered(device):
+    """LRU's invariant: ``_resident`` iterates in non-decreasing
+    last-touch order."""
+    last_touch = device.policy._last_touch
+    touches = [last_touch[chunk] for chunk in device._resident]
+    assert touches == sorted(touches)
+
+
 class TestVictimIndex:
-    """LRU/LFU evict from a lazily-invalidated heap; the choice must be
-    the scan's ``min((score, chunk))`` on every step."""
+    """LRU evicts from the front of its last-touch-ordered resident map,
+    LFU from a lazily-invalidated heap; the choice must be the scan's
+    ``min((score, chunk))`` on every step."""
 
     @given(
         policy=st.sampled_from(["lru", "lfu"]),
@@ -289,15 +299,87 @@ class TestVictimIndex:
         assert indexed.tier_summary == scanned.tier_summary
         assert np.array_equal(indexed.service_times, scanned.service_times)
         assert np.array_equal(indexed.start_times, scanned.start_times)
-        # The invariant: every resident chunk has a current entry.
-        now = float(times[-1])
-        entries = set(device._heap)
-        for chunk in device.resident_chunks:
-            assert (device.policy.score(chunk, now), chunk) in entries
+        if policy == "lru":
+            assert device._heap is None
+            _assert_recency_ordered(device)
+        else:
+            # The heap invariant: every resident chunk has a current entry.
+            now = float(times[-1])
+            entries = set(device._heap)
+            for chunk in device.resident_chunks:
+                assert (device.policy.score(chunk, now), chunk) in entries
+
+    @given(
+        policy=st.sampled_from(["lru", "lfu"]),
+        mode=st.sampled_from(["wt", "wb"]),
+        migrate=st.booleans(),
+        capacity=st.integers(min_value=1, max_value=8),
+        steps=st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=12),   # chunk index
+                st.integers(min_value=0, max_value=127),  # offset in chunk
+                st.integers(min_value=1, max_value=192),  # sectors
+                st.booleans(),                            # write?
+                # Requests at one time tie LRU scores across requests (a
+                # replay never serves two at one time); a negative gap
+                # is a clock that went backwards.
+                st.sampled_from([-0.05, 0.0, 0.0, 1e-4, 0.05, 0.4]),
+            ),
+            min_size=1,
+            max_size=80,
+        ),
+    )
+    # Chunks 5 and 3 tie at t=0: the victim is 3, not the older entry.
+    @example(
+        policy="lru", mode="wb", migrate=False, capacity=2,
+        steps=[(5, 0, 1, False, -1.0), (3, 0, 1, False, 0.0), (7, 0, 1, False, 0.4)],
+    )
+    @settings(deadline=None, max_examples=60)
+    def test_direct_calls_match_scan(self, policy, mode, migrate, capacity, steps):
+        """Driven call by call, including same-time and backwards
+        touches, the index evicts the scan's victims in the same order."""
+        spec = small_spec(CacheConfig.disabled())
+        config = small_tier(
+            mode=mode,
+            policy=policy,
+            capacity_bytes=capacity * 128 * SECTOR_BYTES,
+            migrate_interval=0.5 if migrate else 0.0,
+            migrate_chunks_per_epoch=4,
+        )
+
+        def run(choose):
+            victims = []
+
+            class Recording(TieredDevice):
+                def _victim(self, incoming, now):
+                    victim = choose(self, incoming, now)
+                    victims.append(victim)
+                    return victim
+
+            device = Recording(DiskDrive(spec, seed=11), config)
+            now = 1.0
+            services = []
+            for chunk, offset, size, write, gap in steps:
+                now = max(now + gap, 0.0)
+                services.append(
+                    device.service_time(chunk * 128 + offset, size, write, now)
+                )
+            return device, services, victims
+
+        device, services, victims = run(TieredDevice._victim)
+        reference, expected, scanned = run(_scan_victim)
+        assert victims == scanned
+        assert services == expected
+        assert device.hit_log == reference.hit_log
+        assert device.resident_chunks == reference.resident_chunks
+        assert device.summary() == reference.summary()
+        if policy == "lru" and not device._unordered:
+            _assert_recency_ordered(device)
 
     @pytest.mark.parametrize("policy", ["lru", "lfu"])
     def test_score_calls_per_eviction_flat_in_capacity(self, policy):
-        """A 16x larger tier must not cost 16x the work per eviction."""
+        """A 16x larger tier must not cost 16x the work per eviction; LRU
+        evicts by recency order and scores nothing at all."""
         spec = small_spec(CacheConfig.disabled())
         rng = np.random.default_rng(5)
         footprint = spec.capacity_sectors // 8
@@ -327,12 +409,16 @@ class TestVictimIndex:
                 pass
             assert device.stats.evictions > 1000
             per_eviction[capacity] = calls[0] / device.stats.evictions
-        assert per_eviction[1024] < 2 * per_eviction[64], per_eviction
+        if policy == "lru":
+            assert per_eviction == {64: 0.0, 1024: 0.0}
+        else:
+            assert per_eviction[1024] < 2 * per_eviction[64], per_eviction
 
     @pytest.mark.parametrize("policy", ["lru", "lfu"])
     def test_heap_stays_bounded_when_every_request_hits(self, policy):
-        """Hits push an entry each; compaction keeps the heap within
-        ``HEAP_COMPACT_FACTOR`` entries per resident chunk plus slack."""
+        """LFU hits push an entry each; compaction keeps the heap within
+        ``HEAP_COMPACT_FACTOR`` entries per resident chunk plus slack.
+        LRU keeps no heap: its hits only reorder the resident map."""
         spec = small_spec(CacheConfig.disabled())
         rng = np.random.default_rng(9)
         working_set = 12
@@ -346,9 +432,14 @@ class TestVictimIndex:
         )
         largest = 0
         for _ in _drive_requests(device, requests):
+            if policy == "lru":
+                assert device._heap is None
+                _assert_recency_ordered(device)
+                continue
             resident = len(device.resident_chunks)
             assert len(device._heap) <= HEAP_COMPACT_FACTOR * resident + HEAP_COMPACT_SLACK
             largest = max(largest, len(device._heap))
         assert device.stats.evictions == 0
         assert device.stats.hits == len(requests) - working_set
-        assert largest > working_set  # entries did pile up between rebuilds
+        if policy == "lfu":
+            assert largest > working_set  # entries did pile up between rebuilds
