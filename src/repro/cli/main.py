@@ -34,26 +34,19 @@ Hour- and lifetime-granularity data sets::
 from __future__ import annotations
 
 import argparse
+import importlib
 import sys
-from typing import List, Optional
+from typing import TYPE_CHECKING, Iterator, List, Optional, Tuple
 
 from repro.core.report import Table, format_percent, section
 from repro.disk.drive import DriveSpec, cheetah_10k, cheetah_15k, nearline_7200
-from repro.disk.faults import available_fault_profiles, get_fault_profile
 from repro.errors import CliError, ReproError
-from repro.obs import OBS_LEVELS, Observer
-from repro.fleet.placement import PLACEMENT_POLICIES
-from repro.fleet.tenant import DEFAULT_TENANT_PROFILES
 from repro.synth.profiles import available_profiles, get_profile
-from repro.tier import TIER_MODES, TierConfig, available_heat_policies
-from repro.traces.io import (
-    read_hourly_dataset,
-    read_lifetime_dataset,
-    write_hourly_dataset,
-    write_lifetime_dataset,
-    write_request_trace,
-)
 from repro.units import format_duration
+
+if TYPE_CHECKING:
+    from repro.obs import Observer
+    from repro.tier import TierConfig
 
 _DRIVES = {
     "enterprise-10k": cheetah_10k,
@@ -62,6 +55,42 @@ _DRIVES = {
 }
 
 SCHEDULERS = ["fcfs", "sstf", "scan"]
+
+#: ``fleet --tenant-profiles`` default; a test pins it to
+#: :data:`repro.fleet.tenant.DEFAULT_TENANT_PROFILES`, which the CLI
+#: does not import before a ``fleet`` run.
+DEFAULT_TENANT_PROFILES = ("web", "email", "devel", "database", "fileserver")
+
+
+class _Registry:
+    """The ``choices`` of an option whose values a registry defines.
+
+    ``module.name`` is a name tuple or a function returning the names
+    (``lead`` names go first). argparse reads ``choices`` only to check a
+    given value, to list the names in an error or to expand
+    ``%(choices)s`` in help, so the registry's module is imported then,
+    never while the parser is built. An option with one needs an
+    explicit ``metavar``: without it argparse builds one by iterating
+    ``choices`` when the option is added.
+    """
+
+    def __init__(self, module: str, name: str, lead: Tuple[str, ...] = ()) -> None:
+        self._where = (module, name)
+        self._lead = lead
+        self._names: Optional[Tuple[str, ...]] = None
+
+    def _resolve(self) -> Tuple[str, ...]:
+        if self._names is None:
+            module, name = self._where
+            names = getattr(importlib.import_module(module), name)
+            self._names = self._lead + tuple(names() if callable(names) else names)
+        return self._names
+
+    def __contains__(self, value: object) -> bool:
+        return value in self._resolve()
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._resolve())
 
 
 def _drive(name: str) -> DriveSpec:
@@ -73,7 +102,11 @@ def _drive(name: str) -> DriveSpec:
 
 def _fault_profile(name):
     """Resolve a ``--fault-profile`` value (``None`` = healthy drive)."""
-    return None if name is None else get_fault_profile(name)
+    if name is None:
+        return None
+    from repro.disk.faults import get_fault_profile
+
+    return get_fault_profile(name)
 
 
 def _load_trace(args: argparse.Namespace):
@@ -90,6 +123,8 @@ def _tier_config(args: argparse.Namespace) -> Optional[TierConfig]:
     mode = getattr(args, "tier", "off")
     if mode == "off":
         return None
+    from repro.tier import TierConfig
+
     return TierConfig(mode=mode, policy=getattr(args, "tier_policy", "lru"))
 
 
@@ -105,7 +140,11 @@ def _obs_level_from_args(args: argparse.Namespace) -> str:
 def _observer_from_args(args: argparse.Namespace) -> Optional[Observer]:
     """Build the run's :class:`~repro.obs.Observer` (``None`` = off)."""
     level = _obs_level_from_args(args)
-    return None if level == "off" else Observer(level)
+    if level == "off":
+        return None
+    from repro.obs import Observer
+
+    return Observer(level)
 
 
 def _obs_section(obs: Observer) -> str:
@@ -196,6 +235,8 @@ def _cmd_profiles(_args: argparse.Namespace) -> int:
 
 
 def _cmd_synth_ms(args: argparse.Namespace) -> int:
+    from repro.traces.io import write_request_trace
+
     drive = _drive(args.drive)
     profile = get_profile(args.profile)
     trace = profile.synthesize(
@@ -208,6 +249,7 @@ def _cmd_synth_ms(args: argparse.Namespace) -> int:
 
 def _cmd_synth_hourly(args: argparse.Namespace) -> int:
     from repro.synth.hourly import HourlyWorkloadModel
+    from repro.traces.io import write_hourly_dataset
 
     drive = _drive(args.drive)
     model = HourlyWorkloadModel(bandwidth=drive.sustained_bandwidth)
@@ -219,6 +261,7 @@ def _cmd_synth_hourly(args: argparse.Namespace) -> int:
 
 def _cmd_synth_family(args: argparse.Namespace) -> int:
     from repro.synth.family import FamilyModel
+    from repro.traces.io import write_lifetime_dataset
 
     drive = _drive(args.drive)
     model = FamilyModel(bandwidth=drive.sustained_bandwidth)
@@ -261,6 +304,7 @@ def _cmd_study(args: argparse.Namespace) -> int:
 def _cmd_analyze_hourly(args: argparse.Namespace) -> int:
     from repro.core.dossier import render_hour_report
     from repro.core.hour_analysis import analyze_hour_scale, diurnal_peak_ratio
+    from repro.traces.io import read_hourly_dataset
 
     dataset = read_hourly_dataset(args.dataset)
     drive = _drive(args.drive)
@@ -272,6 +316,7 @@ def _cmd_analyze_hourly(args: argparse.Namespace) -> int:
 def _cmd_analyze_family(args: argparse.Namespace) -> int:
     from repro.core.dossier import render_family_report
     from repro.core.lifetime_analysis import analyze_family
+    from repro.traces.io import read_lifetime_dataset
 
     dataset = read_lifetime_dataset(args.dataset)
     drive = _drive(args.drive)
@@ -312,6 +357,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 
     from repro.synth.calibrate import fit_from_trace, validate_twin
     from repro.traces.ingest import get_parser
+    from repro.traces.io import write_request_trace
 
     parser = get_parser(args.format)
     strict = not args.permissive
@@ -845,6 +891,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
 
 def _cmd_fleet_anomalies(args: argparse.Namespace) -> int:
     from repro.core.anomaly import population_anomalies, self_anomalies
+    from repro.traces.io import read_hourly_dataset
 
     dataset = read_hourly_dataset(args.dataset)
     flagged = self_anomalies(
@@ -869,6 +916,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Multi-time-scale disk-level workload characterization.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    trace_formats = _Registry("repro.traces.ingest", "available_formats")
 
     def add_drive(p: argparse.ArgumentParser) -> None:
         p.add_argument(
@@ -878,30 +926,32 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_faults(p: argparse.ArgumentParser) -> None:
         p.add_argument(
-            "--fault-profile", default=None,
-            choices=sorted(available_fault_profiles()),
-            help="inject drive faults during the replay (default: healthy)",
+            "--fault-profile", default=None, metavar="PROFILE",
+            choices=_Registry("repro.disk.faults", "available_fault_profiles"),
+            help="inject drive faults during the replay, one of %(choices)s "
+            "(default: healthy)",
         )
 
     def add_tier(p: argparse.ArgumentParser) -> None:
         p.add_argument(
-            "--tier", default="off", choices=["off"] + list(TIER_MODES),
-            help="front the drive with an SSD cache tier: wt=write-through, "
-            "wb=write-back (default: off, bit-identical to no tier)",
+            "--tier", default="off", metavar="MODE",
+            choices=_Registry("repro.tier", "TIER_MODES", lead=("off",)),
+            help="front the drive with an SSD cache tier, one of %(choices)s: "
+            "wt=write-through, wb=write-back (default: off, bit-identical "
+            "to no tier)",
         )
         p.add_argument(
-            "--tier-policy", default="lru",
-            choices=list(available_heat_policies()),
-            help="chunk-heat policy driving eviction and migration "
-            "(default: lru)",
+            "--tier-policy", default="lru", metavar="POLICY",
+            choices=_Registry("repro.tier", "available_heat_policies"),
+            help="chunk-heat policy driving eviction and migration, one of "
+            "%(choices)s (default: lru)",
         )
 
     def add_format(p: argparse.ArgumentParser) -> None:
-        from repro.traces.ingest import available_formats
-
         p.add_argument(
-            "--format", default="native", choices=sorted(available_formats()),
-            help="trace file format (default: native, this library's CSV)",
+            "--format", default="native", metavar="FORMAT", choices=trace_formats,
+            help="trace file format, one of %(choices)s (default: native, "
+            "this library's CSV)",
         )
         p.add_argument(
             "--permissive", action="store_true",
@@ -911,9 +961,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_obs(p: argparse.ArgumentParser) -> None:
         p.add_argument(
-            "--obs", default="off", choices=list(OBS_LEVELS),
-            help="observability level: metrics alone, or metrics + event "
-            "trace (default: off; results are bit-identical at every level)",
+            "--obs", default="off", metavar="LEVEL",
+            choices=_Registry("repro.obs", "OBS_LEVELS"),
+            help="observability level, one of %(choices)s: metrics alone, or "
+            "metrics + event trace (default: off; results are bit-identical "
+            "at every level)",
         )
         p.add_argument(
             "--trace-events", default=None, metavar="PATH",
@@ -948,10 +1000,13 @@ def build_parser() -> argparse.ArgumentParser:
             "merge the recorded results (requires --journal)",
         )
         p.add_argument(
-            "--chaos", default="off",
-            choices=["off", "light", "moderate", "heavy"],
+            "--chaos", default="off", metavar="PRESET",
+            choices=_Registry(
+                "repro.core.chaos", "available_chaos_policies", lead=("off",)
+            ),
             help="inject seeded worker faults (kills/stalls/delays) while "
-            "the suite runs (default: off; results stay bit-identical)",
+            "the suite runs, one of %(choices)s (default: off; results stay "
+            "bit-identical)",
         )
         p.add_argument(
             "--chaos-seed", type=int, default=0,
@@ -1005,11 +1060,9 @@ def build_parser() -> argparse.ArgumentParser:
         "a synthetic twin",
     )
     p.add_argument("trace")
-    from repro.traces.ingest import available_formats as _available_formats
-
     p.add_argument(
-        "--format", required=True, choices=sorted(_available_formats()),
-        help="source trace format",
+        "--format", required=True, metavar="FORMAT", choices=trace_formats,
+        help="source trace format, one of %(choices)s",
     )
     p.add_argument(
         "--permissive", action="store_true",
@@ -1067,8 +1120,9 @@ def build_parser() -> argparse.ArgumentParser:
         "(mutually exclusive with --profiles)",
     )
     p.add_argument(
-        "--trace-format", default="native", choices=sorted(_available_formats()),
-        help="format of the --trace files (default: native, this library's CSV)",
+        "--trace-format", default="native", metavar="FORMAT", choices=trace_formats,
+        help="format of the --trace files, one of %(choices)s (default: "
+        "native, this library's CSV)",
     )
     p.add_argument(
         "--permissive", action="store_true",
@@ -1139,9 +1193,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="shared drives in the fleet (default 4)",
     )
     p.add_argument(
-        "--placement", default="roundrobin",
-        choices=list(PLACEMENT_POLICIES),
-        help="tenant-to-drive placement policy (default: roundrobin)",
+        "--placement", default="roundrobin", metavar="POLICY",
+        choices=_Registry("repro.fleet.placement", "PLACEMENT_POLICIES"),
+        help="tenant-to-drive placement policy, one of %(choices)s "
+        "(default: roundrobin)",
     )
     p.add_argument(
         "--shard-size", type=int, default=4,

@@ -55,14 +55,14 @@ from dataclasses import asdict, dataclass, fields as dataclass_fields, replace
 from math import inf
 from multiprocessing.connection import wait as connection_wait
 from time import perf_counter, sleep
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (
+    TYPE_CHECKING, Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union,
+)
 
 import numpy as np
 
 from repro.core.backoff import BackoffPolicy
-from repro.core.chaos import ChaosPlan, ChaosPolicy
 from repro.disk.drive import DriveSpec
-from repro.disk.faults import FaultProfile
 from repro.disk.simulator import DiskSimulator
 from repro.errors import (
     FleetError,
@@ -71,10 +71,15 @@ from repro.errors import (
     SimulationError,
     SuiteError,
 )
-from repro.obs import OBS_LEVELS, MetricsRegistry, Observer
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.observer import OBS_LEVELS, Observer
 from repro.synth.workload import WorkloadProfile
-from repro.tier import TierConfig
-from repro.traces.ingest.source import TraceSource
+
+if TYPE_CHECKING:
+    from repro.core.chaos import ChaosPlan, ChaosPolicy
+    from repro.disk.faults import FaultProfile
+    from repro.tier import TierConfig
+    from repro.traces.ingest.source import TraceSource
 
 #: Version stamp written by :meth:`SuiteReport.to_json`; bump on any
 #: backwards-incompatible change to the serialized layout. (The
@@ -284,7 +289,16 @@ class JobResult:
         return self.n_requests / self.wall_seconds
 
     def as_dict(self) -> Dict[str, Any]:
-        record = asdict(self)
+        """The serialized record: every field, plus ``replay_rate``, minus
+        the tier and fleet fields of a job that had none.
+
+        A shallow copy: nested values (``tenant_qos``, ``metrics``,
+        ``trace_events``, ...) are the result's own objects, so callers
+        serialize the record and never mutate it in place.
+        ``dataclasses.asdict`` would deep-copy them, which for a fleet
+        suite costs more than the rest of the parent's reporting.
+        """
+        record = {f.name: getattr(self, f.name) for f in dataclass_fields(self)}
         record["replay_rate"] = self.replay_rate
         for key in (
             "tier_hit_rate",
@@ -1270,10 +1284,13 @@ class ExperimentRunner:
             raise SimulationError(
                 f"on_error must be 'raise' or 'collect', got {on_error!r}"
             )
-        if chaos is not None and not isinstance(chaos, ChaosPolicy):
-            raise SimulationError(
-                f"chaos must be a ChaosPolicy or None, got {type(chaos).__name__}"
-            )
+        if chaos is not None:
+            from repro.core.chaos import ChaosPolicy
+
+            if not isinstance(chaos, ChaosPolicy):
+                raise SimulationError(
+                    f"chaos must be a ChaosPolicy or None, got {type(chaos).__name__}"
+                )
         if suite_deadline is not None and suite_deadline <= 0:
             raise ResourceGuardError(
                 f"suite_deadline must be > 0, got {suite_deadline!r}"

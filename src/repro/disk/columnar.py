@@ -43,15 +43,17 @@ from bisect import insort
 from collections import deque
 from dataclasses import replace
 from math import sqrt
-from typing import List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.disk.drive import DiskDrive
-from repro.disk.faults import FaultEvent
 from repro.disk.scheduler import pick_from_sorted
-from repro.tier import TieredDevice
 from repro.units import SECTOR_BYTES
+
+if TYPE_CHECKING:
+    from repro.disk.faults import FaultEvent
+    from repro.tier import TieredDevice
 
 #: Rotational-latency draws are buffered in blocks of at most this many
 #: (never more than the requests left to serve, so a short replay does not
@@ -107,7 +109,7 @@ def replay_columnar(
     the two.
     """
     n = len(columns)
-    drive = device.drive if isinstance(device, TieredDevice) else device
+    drive = device if isinstance(device, DiskDrive) else device.drive
     # Faults and tier residency change what a serve does, and a
     # trace-level observer wants the per-seek and absorbed-write events
     # only the drive's own methods emit: any of them selects hook mode.

@@ -38,13 +38,12 @@ suite.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.disk.columnar import replay_columnar
 from repro.disk.drive import DiskDrive, DriveSpec
-from repro.disk.faults import FaultEvent, FaultModel, FaultProfile
 from repro.disk.scheduler import (
     FcfsScheduler,
     Scheduler,
@@ -53,10 +52,13 @@ from repro.disk.scheduler import (
 )
 from repro.disk.timeline import BusyIdleTimeline
 from repro.errors import SimulationError
-from repro.obs import Observer
 from repro.stats.moments import describe, SampleDescription
-from repro.tier import TierConfig, TieredDevice
 from repro.traces.millisecond import RequestTrace, build_request_columns
+
+if TYPE_CHECKING:
+    from repro.disk.faults import FaultEvent, FaultModel, FaultProfile
+    from repro.obs.observer import Observer
+    from repro.tier import TierConfig, TieredDevice
 
 
 class SimulationResult:
@@ -265,10 +267,13 @@ class DiskSimulator:
             raise SimulationError(
                 f"queue_depth must be >= 1, got {queue_depth!r}"
             )
-        if tier is not None and not isinstance(tier, TierConfig):
-            raise SimulationError(
-                f"tier must be a TierConfig or None, got {type(tier).__name__}"
-            )
+        if tier is not None:
+            from repro.tier import TierConfig
+
+            if not isinstance(tier, TierConfig):
+                raise SimulationError(
+                    f"tier must be a TierConfig or None, got {type(tier).__name__}"
+                )
         if isinstance(drive, DiskDrive):
             self._spec: Optional[DriveSpec] = None
             self._drive: Optional[DiskDrive] = drive
@@ -282,10 +287,13 @@ class DiskSimulator:
         self.fast_path = bool(fast_path)
         self.faults = faults
         self.tier = tier
-        if obs is not None and not isinstance(obs, Observer):
-            raise SimulationError(
-                f"obs must be an Observer or None, got {type(obs).__name__}"
-            )
+        if obs is not None:
+            from repro.obs.observer import Observer
+
+            if not isinstance(obs, Observer):
+                raise SimulationError(
+                    f"obs must be an Observer or None, got {type(obs).__name__}"
+                )
         self.obs = obs
 
     def _fresh_drive(self) -> DiskDrive:
@@ -298,6 +306,8 @@ class DiskSimulator:
     def _attach_faults(self, drive: DiskDrive) -> None:
         if self.faults is None:
             return
+        from repro.disk.faults import FaultModel
+
         if isinstance(self.faults, FaultModel):
             model = self.faults
         else:
@@ -324,7 +334,11 @@ class DiskSimulator:
         capacity = drive.geometry.capacity_sectors
         # A fresh TieredDevice per run keeps runs independent; the
         # engines drive it through the same surface as the bare drive.
-        device = TieredDevice(drive, self.tier) if self.tier is not None else drive
+        device = drive
+        if self.tier is not None:
+            from repro.tier import TieredDevice
+
+            device = TieredDevice(drive, self.tier)
 
         obs = self.obs
         observing = obs is not None and obs.enabled

@@ -244,6 +244,83 @@ def test_run_suite_rejects_unknown_trace_format(tmp_path, capsys):
         assert repr(name) in err
 
 
+def _registries():
+    """Each registry-backed option's source of truth, in the CLI's order."""
+    from repro.core.chaos import available_chaos_policies
+    from repro.disk.faults import available_fault_profiles
+    from repro.fleet.placement import PLACEMENT_POLICIES
+    from repro.obs import OBS_LEVELS
+    from repro.tier import TIER_MODES, available_heat_policies
+
+    formats = list(available_formats())
+    return {
+        ("study", "--fault-profile"): list(available_fault_profiles()),
+        ("study", "--tier"): ["off", *TIER_MODES],
+        ("study", "--tier-policy"): list(available_heat_policies()),
+        ("study", "--obs"): list(OBS_LEVELS),
+        ("study", "--format"): formats,
+        ("ingest", "--format"): formats,
+        ("run-suite", "--trace-format"): formats,
+        ("run-suite", "--chaos"): ["off", *available_chaos_policies()],
+        ("fleet", "--placement"): list(PLACEMENT_POLICIES),
+    }
+
+
+def _action(command, option):
+    parser = build_parser()
+    (subparsers,) = [
+        action for action in parser._subparsers._group_actions
+        if hasattr(action, "choices")
+    ]
+    (action,) = [
+        action for action in subparsers.choices[command]._actions
+        if option in action.option_strings
+    ]
+    return action
+
+
+@pytest.mark.parametrize("command, option", sorted(_registries()))
+def test_option_choices_resolve_to_their_registry(command, option):
+    action = _action(command, option)
+    expected = _registries()[(command, option)]
+    assert list(action.choices) == expected
+    assert action.metavar is not None
+    for name in expected:
+        assert name in action.choices
+    assert "no-such-name" not in action.choices
+    # The help text lists the names in place of the metavar.
+    assert ", ".join(expected) in action.help % {"choices": ", ".join(expected)}
+
+
+def test_help_lists_registry_choices(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["run-suite", "--help"])
+    assert excinfo.value.code == 0
+    out = " ".join(capsys.readouterr().out.split())
+    assert "one of light, moderate, severe" in out
+    assert "one of off, metrics, trace" in out
+
+
+def test_invalid_registry_choice_lists_the_names(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["study", "--profile", "web", "--obs", "loud"])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "--obs: invalid choice: 'loud'" in err
+    for level in ("off", "metrics", "trace"):
+        assert repr(level) in err
+
+
+def test_tenant_profiles_default_matches_fleet():
+    from repro.cli.main import DEFAULT_TENANT_PROFILES
+    from repro.fleet.tenant import DEFAULT_TENANT_PROFILES as fleet_default
+
+    assert DEFAULT_TENANT_PROFILES == fleet_default
+    args = build_parser().parse_args(["fleet"])
+    assert args.tenant_profiles == list(fleet_default)
+    assert " ".join(fleet_default) in _action("fleet", "--tenant-profiles").help
+
+
 # run-suite and fleet share one runner/journal path; each case names the
 # command's argv, its checkpoint unit, and how many units it journals.
 SUITE_COMMANDS = {

@@ -1,6 +1,7 @@
 """Package ``__init__``s resolve their public names lazily (PEP 562)."""
 
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -12,42 +13,86 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 LAZY_PACKAGES = (
     "repro",
+    "repro.cli",
     "repro.core",
     "repro.disk",
     "repro.fleet",
+    "repro.obs",
     "repro.stats",
     "repro.synth",
     "repro.traces",
     "repro.traces.ingest",
 )
 
-# Modules no run-suite or fleet invocation needs before it parses its
-# arguments; importing the CLI must not load them.
+# Modules (an entry also covers its submodules) that importing the CLI
+# must not load: each subcommand's handler imports what it uses, and an
+# option's choices are resolved only when the option is given. A bare
+# run-suite loads none of them either.
 NOT_AT_CLI_START = (
-    "repro.fleet.run",
+    "repro.fleet",
+    "repro.tier",
+    "repro.disk.faults",
+    "repro.traces.io",
+    "repro.traces.hourly",
+    "repro.traces.lifetime",
+    "repro.traces.ingest",
+    "repro.core.chaos",
+    "repro.core.journal",
+    "repro.synth.family",
     "repro.synth.calibrate",
     "repro.core.timescales",
     "repro.core.hour_analysis",
     "repro.core.lifetime_analysis",
     "repro.core.dossier",
+    "repro.obs.events",
+)
+
+# Start-up budgets: the repro modules that ``import repro.cli.main`` and
+# a bare ``run-suite`` load (43 and 59 before handlers imported their
+# own subsystems).
+CLI_IMPORT_BUDGET = 24
+BARE_SUITE_BUDGET = 36
+
+# Prints the sorted repro modules loaded once the CLI is imported and,
+# with arguments, once ``main(argv)`` has run, as one JSON list.
+LOADED_CODE = """
+import contextlib, importlib, io, json, sys
+cli = importlib.import_module('repro.cli.main')
+argv = sys.argv[1:]
+if argv == ['build_parser']:
+    cli.build_parser()
+elif argv:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'repro')))
+"""
+
+
+def _loaded(*argv):
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    out = subprocess.run(
+        [sys.executable, "-c", LOADED_CODE, *argv], env=env, capture_output=True,
+        text=True, check=True, timeout=120,
+    )
+    return json.loads(out.stdout)
+
+
+def _subsystems(loaded):
+    return sorted(
+        name for name in loaded
+        if any(name == m or name.startswith(m + ".") for m in NOT_AT_CLI_START)
+    )
+
+
+BARE_SUITE = (
+    "run-suite", "--profiles", "devel", "--span", "2", "--workers", "1",
 )
 
 
 def test_build_parser_skips_trace_source():
-    # build_parser imports repro.traces.ingest for the --format choices;
-    # TraceSource is a lazy export, so listing formats must not load it.
-    code = (
-        "import importlib, sys\n"
-        "importlib.import_module('repro.cli.main').build_parser()\n"
-        "print('repro.traces.ingest' in sys.modules,"
-        " 'repro.traces.ingest.source' in sys.modules)\n"
-    )
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
-        check=True, timeout=60,
-    )
-    assert out.stdout.strip() == "True False"
+    # The --format choices resolve the ingest registry only when an
+    # option is given, so building the parser loads no ingest module.
+    assert [m for m in _loaded("build_parser") if m.startswith("repro.traces.ingest")] == []
     from repro.traces.ingest import TraceSource
     from repro.traces.ingest.source import TraceSource as defined
 
@@ -55,17 +100,40 @@ def test_build_parser_skips_trace_source():
 
 
 def test_cli_import_skips_unused_subsystems():
-    code = (
-        "import importlib, sys\n"
-        "importlib.import_module('repro.cli.main')\n"
-        f"print(sorted(set({NOT_AT_CLI_START!r}) & set(sys.modules)))\n"
+    loaded = _loaded()
+    assert _subsystems(loaded) == []
+    assert len(loaded) <= CLI_IMPORT_BUDGET, loaded
+
+
+def test_bare_run_suite_skips_unused_subsystems():
+    loaded = _loaded(*BARE_SUITE)
+    assert "repro.core.runner" in loaded
+    assert _subsystems(loaded) == []
+    assert len(loaded) <= BARE_SUITE_BUDGET, loaded
+
+
+def test_subsystems_load_when_their_command_runs():
+    # The positive control: the budget tests above would pass on a CLI
+    # that never ran a tier, a fault profile or a fleet.
+    degraded = _loaded(*BARE_SUITE, "--tier", "wb", "--fault-profile", "moderate")
+    assert {"repro.tier", "repro.tier.device", "repro.disk.faults"} <= set(degraded)
+    fleet = _loaded(
+        "fleet", "--tenants", "2", "--drives", "1", "--span", "2", "--workers", "1",
     )
+    assert {"repro.fleet", "repro.fleet.run", "repro.synth.family"} <= set(fleet)
+
+
+def test_module_run_executes_main_once():
+    # ``python -m repro.cli.main`` must not find the module already
+    # imported by its package (runpy warns and runs it twice).
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
-        check=True, timeout=60,
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "repro.cli.main",
+         "profiles"],
+        env=env, capture_output=True, text=True, timeout=60,
     )
-    assert out.stdout.strip() == "[]"
+    assert out.returncode == 0, out.stderr
+    assert "web" in out.stdout
 
 
 # The first np.quantile/np.unique call in a process imports numpy.ma

@@ -160,6 +160,43 @@ class TestJobAndSeeds:
         assert result.replay_rate > 0.0
         assert result.as_dict()["replay_rate"] == result.replay_rate
 
+    @pytest.mark.parametrize(
+        "variant", ["plain", "tiered", "faulted", "fleet", "obs-trace"]
+    )
+    def test_as_dict_matches_dataclasses_asdict(self, tiny_spec, variant):
+        # as_dict copies fields shallowly; the record must equal the deep
+        # copy dataclasses.asdict made, field for field and in JSON.
+        import dataclasses
+        import json
+
+        from repro.disk.faults import get_fault_profile
+        from repro.fleet import sample_tenants
+        from repro.tier import TierConfig
+
+        web = get_profile("web")
+        options = {
+            "plain": dict(profile=web),
+            "tiered": dict(profile=web, tier=TierConfig(mode="wb", capacity_bytes=1 << 22)),
+            "faulted": dict(profile=web, faults=get_fault_profile("moderate")),
+            "fleet": dict(
+                profile=None, tenants=tuple(sample_tenants(3, seed=42)),
+                interference=True,
+            ),
+            "obs-trace": dict(profile=web, obs_level="trace"),
+        }[variant]
+        result = run_job(
+            ExperimentJob(drive=tiny_spec, span=3.0, seed=5, **options)
+        )
+        expected = dataclasses.asdict(result)
+        expected["replay_rate"] = result.replay_rate
+        for key, value in list(expected.items()):
+            if value is None and key.startswith(("tier_", "tenant_")):
+                del expected[key]
+        record = result.as_dict()
+        assert record == expected
+        assert list(record) == list(expected)
+        assert json.dumps(record, sort_keys=True) == json.dumps(expected, sort_keys=True)
+
     def test_run_job_empty_trace(self, tiny_spec):
         quiet = WorkloadProfile(
             name="quiet", rate=0.001, arrival=ArrivalSpec("bmodel")

@@ -219,7 +219,7 @@ def _replay(spec, scheduler, config, trace, victim=None):
 
     if victim is not None:
         Recording._victim = victim
-    with mock.patch("repro.disk.simulator.TieredDevice", Recording):
+    with mock.patch("repro.tier.TieredDevice", Recording):
         result = DiskSimulator(spec, scheduler, seed=11, tier=config).run(trace)
     (device,) = built
     return result, device
