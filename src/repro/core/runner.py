@@ -72,12 +72,12 @@ from repro.errors import (
     SuiteError,
 )
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.observer import OBS_LEVELS, Observer
 from repro.synth.workload import WorkloadProfile
 
 if TYPE_CHECKING:
     from repro.core.chaos import ChaosPlan, ChaosPolicy
     from repro.disk.faults import FaultProfile
+    from repro.obs.observer import Observer
     from repro.tier import TierConfig
     from repro.traces.ingest.source import TraceSource
 
@@ -180,11 +180,19 @@ class ExperimentJob:
     interference: bool = False
 
     def __post_init__(self) -> None:
-        if self.obs_level not in OBS_LEVELS:
-            raise ObservabilityError(
-                f"unknown obs_level {self.obs_level!r}; "
-                f"expected one of {OBS_LEVELS}"
-            )
+        if self.obs_level != "off":
+            # Jobs are built in the parent, so pooled workers inherit the
+            # observer (and at "trace" its event ring) instead of each
+            # importing it; a job at "off" loads neither.
+            from repro.obs.observer import OBS_LEVELS
+
+            if self.obs_level not in OBS_LEVELS:
+                raise ObservabilityError(
+                    f"unknown obs_level {self.obs_level!r}; "
+                    f"expected one of {OBS_LEVELS}"
+                )
+            if self.obs_level == "trace":
+                import repro.obs.events  # noqa: F401
         sources = (self.profile, self.trace, self.tenants)
         if sum(source is not None for source in sources) != 1:
             raise SimulationError(
@@ -341,7 +349,11 @@ def run_job(job: ExperimentJob) -> JobResult:
     before observability existed.
     """
     wall_start = perf_counter()
-    obs = Observer(job.obs_level) if job.obs_level != "off" else None
+    obs = None
+    if job.obs_level != "off":
+        from repro.obs.observer import Observer
+
+        obs = Observer(job.obs_level)
 
     def phase(name: str):
         return obs.profile.phase(name) if obs is not None else nullcontext()

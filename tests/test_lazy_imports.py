@@ -51,7 +51,7 @@ NOT_AT_CLI_START = (
 # a bare ``run-suite`` load (43 and 59 before handlers imported their
 # own subsystems).
 CLI_IMPORT_BUDGET = 24
-BARE_SUITE_BUDGET = 36
+BARE_SUITE_BUDGET = 34
 
 # Prints the sorted repro modules loaded once the CLI is imported and,
 # with arguments, once ``main(argv)`` has run, as one JSON list.
@@ -121,6 +121,26 @@ def test_subsystems_load_when_their_command_runs():
         "fleet", "--tenants", "2", "--drives", "1", "--span", "2", "--workers", "1",
     )
     assert {"repro.fleet", "repro.fleet.run", "repro.synth.family"} <= set(fleet)
+
+
+def test_pooled_workers_import_no_repro_module():
+    # Forked workers inherit the parent's modules. A subsystem the parent
+    # never imported would be imported (and, without a bytecode cache,
+    # compiled) once per worker, so -X importtime would list it twice.
+    env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONDONTWRITEBYTECODE": "1"}
+    out = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "repro.cli.main",
+         "run-suite", "--profiles", "devel", "--span", "2", "--workers", "2",
+         "--schedulers", "fcfs", "sstf", "--tier", "wb",
+         "--fault-profile", "moderate", "--obs", "trace"],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    )
+    imported = [
+        line.rsplit("|", 1)[1].strip() for line in out.stderr.splitlines()
+        if line.startswith("import time:") and "repro" in line
+    ]
+    assert "repro.obs.events" in imported
+    assert sorted(m for m in set(imported) if imported.count(m) > 1) == []
 
 
 def test_module_run_executes_main_once():
