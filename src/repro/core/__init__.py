@@ -26,7 +26,7 @@ from repro._lazy import lazy_exports
 _EXPORTS = {
     ".summary": ("WorkloadSummary", "summarize_trace"),
     ".utilization": ("UtilizationAnalysis", "analyze_utilization"),
-    ".idleness": ("IdlenessAnalysis", "analyze_idleness", "chunks_available"),
+    ".idleness": ("IdlenessAnalysis", "analyze_idleness"),
     ".busyness": ("BusynessAnalysis", "analyze_busyness"),
     ".burstiness": ("BurstinessAnalysis", "analyze_burstiness"),
     ".traffic": ("TrafficDynamics", "analyze_traffic"),
@@ -40,8 +40,7 @@ _EXPORTS = {
     ".comparison": ("ComparisonResult", "compare_studies", "feature_vector"),
     ".latency": (
         "DegradedTailAnalysis", "LatencyAnalysis", "TierTailAnalysis", "analyze_degraded_tail",
-        "analyze_latency", "analyze_tier_tail", "queue_depth_series", "response_ecdf",
-        "tail_inflation",
+        "analyze_latency", "analyze_tier_tail", "tail_inflation",
     ),
     ".prediction": ("IdlePredictor",),
     ".dossier": ("render_family_report", "render_hour_report", "render_study_report"),

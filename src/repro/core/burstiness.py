@@ -117,16 +117,3 @@ def analyze_burstiness(
         interarrival_cv=cv,
         autocorrelation_time=act,
     )
-
-
-def compare_burstiness(
-    traces: Sequence[RequestTrace],
-    base_scale: float = 0.01,
-    factors: Sequence[int] = DEFAULT_FACTORS,
-) -> dict:
-    """Burstiness analyses for several traces, keyed by label — the input
-    of the paper's bursty-vs-Poisson comparison figure."""
-    results = {}
-    for trace in traces:
-        results[trace.label] = analyze_burstiness(trace, base_scale, factors)
-    return results

@@ -10,8 +10,6 @@ the millisecond scale.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
-
 
 from repro.disk.timeline import BusyIdleTimeline
 from repro.errors import AnalysisError
@@ -78,23 +76,3 @@ def busy_period_ecdf(timeline: BusyIdleTimeline) -> Ecdf:
     if periods.size == 0:
         raise AnalysisError("timeline has no busy periods (all-idle window)")
     return Ecdf(periods)
-
-
-def longest_sustained_load(
-    timeline: BusyIdleTimeline, scale: float, threshold: float = 0.9
-) -> Tuple[int, float]:
-    """Longest run of consecutive ``scale``-second windows at or above
-    ``threshold`` utilization.
-
-    Returns ``(run_length_windows, run_length_seconds)``. At hour scale
-    this is exactly the paper's "fully utilizing the available disk
-    bandwidth for hours at a time" measurement.
-    """
-    if not 0.0 < threshold <= 1.0:
-        raise AnalysisError(f"threshold must be in (0, 1], got {threshold!r}")
-    series = timeline.utilization_series(scale)
-    longest = current = 0
-    for value in series:
-        current = current + 1 if value >= threshold else 0
-        longest = max(longest, current)
-    return longest, longest * scale

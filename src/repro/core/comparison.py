@@ -93,17 +93,6 @@ class ComparisonResult:
                     worst = (i, j, float(self.distances[i, j]))
         return self.names[worst[0]], self.names[worst[1]], worst[2]
 
-    def nearest_to(self, name: str) -> Tuple[str, float]:
-        """The workload closest to ``name`` and its distance."""
-        if name not in self.names:
-            raise AnalysisError(f"unknown workload {name!r}")
-        i = self.names.index(name)
-        order = np.argsort(self.distances[i])
-        for j in order:
-            if j != i:
-                return self.names[int(j)], float(self.distances[i, int(j)])
-        raise AnalysisError("comparison needs at least two workloads")
-
 
 def compare_studies(studies: Dict[str, MillisecondStudy]) -> ComparisonResult:
     """Build the pairwise comparison over named studies.

@@ -101,8 +101,12 @@ def population_weekly_curve(dataset: HourlyDataset) -> np.ndarray:
     if len(dataset) == 0:
         raise AnalysisError("hourly dataset is empty")
     curves = np.stack([t.fold_weekly() for t in dataset])
-    with np.errstate(invalid="ignore"):
-        return np.nanmean(curves, axis=0)
+    # np.nanmean's arithmetic without its "Mean of empty slice" warning
+    # for hours no drive observed.
+    unobserved = np.isnan(curves)
+    counts = (~unobserved).sum(axis=0)
+    sums = np.where(unobserved, 0.0, curves).sum(axis=0)
+    return np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
 
 
 def diurnal_peak_ratio(dataset: HourlyDataset) -> float:

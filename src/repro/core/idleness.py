@@ -135,27 +135,6 @@ def idle_sequence_autocorrelation(
     return autocorrelation(intervals, max_lag=max_lag)
 
 
-def chunks_available(
-    timeline: BusyIdleTimeline, chunk_seconds: float, setup_seconds: float = 0.0
-) -> int:
-    """How many whole ``chunk_seconds`` chunks the idle intervals can host
-    when entering an interval costs ``setup_seconds`` once.
-
-    This is the capacity bound a scrub or scan planner compares its
-    demand against: if the workload's idleness cannot host
-    ``n_regions`` chunks, no policy finishes the pass in-window.
-    """
-    if chunk_seconds <= 0:
-        raise AnalysisError(f"chunk_seconds must be > 0, got {chunk_seconds!r}")
-    if setup_seconds < 0:
-        raise AnalysisError(f"setup_seconds must be >= 0, got {setup_seconds!r}")
-    intervals = timeline.idle_periods()
-    if intervals.size == 0:
-        return 0
-    usable = np.maximum(intervals - setup_seconds, 0.0)
-    return int(np.floor(usable / chunk_seconds).sum())
-
-
 def usable_idle_time(
     timeline: BusyIdleTimeline, setup_cost: float
 ) -> float:

@@ -3,8 +3,8 @@
 Utilization and idleness describe the drive; latency describes what the
 host feels. This module characterizes the response-time distribution of
 a :class:`~repro.disk.SimulationResult` overall and per request class
-(reads vs. writes — very different under a write-back cache), and
-reconstructs the queue-depth process from arrival/finish times.
+(reads vs. writes — very different under a write-back cache), with the
+queue depth reconstructed from arrival/finish times.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import numpy as np
 
 from repro.disk.simulator import SimulationResult
 from repro.errors import AnalysisError
-from repro.stats.ecdf import Ecdf
 from repro.stats.moments import SampleDescription, describe, sorted_quantiles
 
 
@@ -57,44 +56,6 @@ def _system_size_walk(result: SimulationResult) -> tuple:
     return events[order], np.cumsum(deltas[order])
 
 
-def queue_depth_series(result: SimulationResult, scale: float) -> np.ndarray:
-    """Mean number of requests in the system per ``scale``-second window.
-
-    Reconstructed from arrival and finish times: the system size N(t)
-    rises at each arrival and falls at each completion; per-window means
-    come from integrating N(t) exactly between window edges.
-    """
-    if scale <= 0:
-        raise AnalysisError(f"scale must be > 0, got {scale!r}")
-    if not len(result.trace):
-        return np.zeros(0)
-    span = result.timeline.span
-    # N(t) between seg_starts[i] and seg_starts[i+1] equals seg_depths[i].
-    seg_starts, seg_depths = _system_size_walk(result)
-    nbins = int(np.ceil(span / scale))
-    edges = np.minimum(np.arange(nbins + 1) * scale, span)
-    # Cumulative integral of N at arbitrary t.
-    cum = np.concatenate(
-        [[0.0], np.cumsum(seg_depths[:-1] * np.diff(seg_starts))]
-    )
-
-    def integral(t: np.ndarray) -> np.ndarray:
-        idx = np.searchsorted(seg_starts, t, side="right") - 1
-        out = np.zeros_like(t)
-        inside = idx >= 0
-        clipped = np.clip(idx, 0, seg_starts.size - 1)
-        out[inside] = cum[clipped[inside]] + seg_depths[clipped[inside]] * (
-            t[inside] - seg_starts[clipped[inside]]
-        )
-        return out
-
-    areas = np.diff(integral(edges))
-    widths = np.diff(edges)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        series = np.where(widths > 0, areas / widths, 0.0)
-    return np.maximum(series, 0.0)
-
-
 def analyze_latency(result: SimulationResult) -> LatencyAnalysis:
     """Characterize the latency of a non-empty simulation run."""
     trace = result.trace
@@ -122,13 +83,6 @@ def analyze_latency(result: SimulationResult) -> LatencyAnalysis:
         mean_queue_depth=mean_depth,
         max_queue_depth=peak,
     )
-
-
-def response_ecdf(result: SimulationResult) -> Ecdf:
-    """ECDF of response times — the latency CDF figure."""
-    if not len(result.trace):
-        raise AnalysisError("simulation served no requests; nothing to analyze")
-    return Ecdf(result.response_times)
 
 
 # ----------------------------------------------------------------------

@@ -59,11 +59,6 @@ class Table:
             )
         self._rows.append([_format_cell(c, self.precision) for c in cells])
 
-    @property
-    def n_rows(self) -> int:
-        """Number of data rows added so far."""
-        return len(self._rows)
-
     def render(self) -> str:
         """The table as aligned text, first column left-, rest right-aligned."""
         widths = [len(h) for h in self.headers]

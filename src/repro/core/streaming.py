@@ -43,7 +43,7 @@ class StreamingCharacterizer:
 
     Chunks must arrive in time order on a shared clock (each chunk's
     times are absolute, as produced by slicing one long capture without
-    rebasing, or by a collector's shards read back in order).
+    rebasing).
 
     Parameters
     ----------
@@ -208,11 +208,6 @@ class StreamingCharacterizer:
     def first_time(self) -> Optional[float]:
         """Absolute clock time of the first arrival (None before any)."""
         return self._first_time
-
-    @property
-    def last_time(self) -> Optional[float]:
-        """Absolute clock time of the latest arrival (None before any)."""
-        return self._prev_time
 
     @property
     def span(self) -> float:

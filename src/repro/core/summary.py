@@ -8,7 +8,7 @@ variability.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,15 +32,6 @@ class WorkloadSummary:
     median_request_kib: float
     sequentiality: float
     interarrival_cv: float
-
-    def as_row(self) -> list:
-        """The summary as a flat row (field order), for table building."""
-        return [getattr(self, f.name) for f in fields(self)]
-
-    @staticmethod
-    def headers() -> list:
-        """Column names matching :meth:`as_row`."""
-        return [f.name for f in fields(WorkloadSummary)]
 
 
 def summarize_trace(trace: RequestTrace) -> WorkloadSummary:

@@ -100,17 +100,3 @@ def write_bursts(
     if start is not None:
         episodes.append((start * scale, (flags.size - start) * scale))
     return episodes
-
-
-def rw_ratio_series(trace: RequestTrace, scale: float = 1.0) -> np.ndarray:
-    """Read:write byte ratio per window (NaN where nothing was written or
-    the window is empty) — the series the paper's R:W dynamics figure
-    plots."""
-    if scale <= 0:
-        raise AnalysisError(f"scale must be > 0, got {scale!r}")
-    read_bytes = trace.reads().byte_series(scale)
-    write_bytes = trace.writes().byte_series(scale)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        ratio = read_bytes / write_bytes
-    ratio[~np.isfinite(ratio)] = np.nan
-    return ratio

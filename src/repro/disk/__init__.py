@@ -28,7 +28,7 @@ _EXPORTS = {
         "EnergyReport", "PowerProfile", "baseline_energy", "evaluate_spin_down",
         "sweep_timeouts",
     ),
-    ".array": ("MirroredPair", "StripedArray", "member_imbalance"),
+    ".array": ("StripedArray", "member_imbalance"),
     ".raid5": ("Raid5Array", "write_amplification"),
 }
 

@@ -1,15 +1,12 @@
-"""Disk arrays: striping and mirroring above the single-drive model.
+"""Disk arrays: striping above the single-drive model.
 
 The paper's drives were deployed inside enterprise storage systems —
 RAID groups — so the traffic a *single* disk sees is the array
 controller's projection of the logical workload. This module implements
-that projection for the two canonical layouts:
-
-* :class:`StripedArray` (RAID-0): logical address space striped across
-  members in fixed chunks; a request touching several chunks splits into
-  per-member sub-requests.
-* :class:`MirroredPair` (RAID-1): writes duplicate to both members,
-  reads alternate (round-robin).
+that projection for striping (RAID-0, :class:`StripedArray`): the
+logical address space is striped across members in fixed chunks, and a
+request touching several chunks splits into per-member sub-requests.
+Parity striping (RAID-5) lives in :mod:`repro.disk.raid5`.
 
 Splitting a logical trace yields one :class:`~repro.traces.RequestTrace`
 per member, each replayable through :class:`~repro.disk.DiskSimulator` —
@@ -141,62 +138,6 @@ class StripedArray:
                 label=f"{trace.label}@member{m}",
             )
             for m, b in enumerate(per_member)
-        ]
-
-
-class MirroredPair:
-    """RAID-1: two members holding identical data.
-
-    Writes go to both members; reads alternate round-robin (the common
-    load-balancing policy). The address space equals one member's.
-    """
-
-    def __init__(self, member_capacity_sectors: int) -> None:
-        if member_capacity_sectors <= 0:
-            raise DiskModelError(
-                f"member_capacity_sectors must be > 0, got {member_capacity_sectors!r}"
-            )
-        self.member_capacity_sectors = int(member_capacity_sectors)
-
-    @property
-    def logical_capacity_sectors(self) -> int:
-        """Addressable sectors (one member's worth)."""
-        return self.member_capacity_sectors
-
-    def split_trace(self, trace: RequestTrace) -> List[RequestTrace]:
-        """Project a logical trace onto the two mirror members."""
-        buckets = [
-            {"times": [], "lbas": [], "nsectors": [], "is_write": []}
-            for _ in range(2)
-        ]
-        next_read_member = 0
-        for i in range(len(trace)):
-            lba = int(trace.lbas[i])
-            n = int(trace.nsectors[i])
-            if lba + n > self.logical_capacity_sectors:
-                raise DiskModelError(
-                    f"request [{lba}, {lba + n}) exceeds mirror capacity "
-                    f"{self.logical_capacity_sectors}"
-                )
-            time = float(trace.times[i])
-            if trace.is_write[i]:
-                targets = (0, 1)
-            else:
-                targets = (next_read_member,)
-                next_read_member = 1 - next_read_member
-            for member in targets:
-                b = buckets[member]
-                b["times"].append(time)
-                b["lbas"].append(lba)
-                b["nsectors"].append(n)
-                b["is_write"].append(bool(trace.is_write[i]))
-        return [
-            RequestTrace(
-                times=b["times"], lbas=b["lbas"], nsectors=b["nsectors"],
-                is_write=b["is_write"], span=trace.span,
-                label=f"{trace.label}@mirror{m}",
-            )
-            for m, b in enumerate(buckets)
         ]
 
 

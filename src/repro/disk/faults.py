@@ -319,10 +319,6 @@ class FaultModel:
         """Latent regions with no scheduled repair — the scrub worklist."""
         return tuple(sorted(self._latent - set(self._repairs)))
 
-    def region_of(self, lba: int) -> int:
-        """The fault-map region containing ``lba``."""
-        return int(lba) // self.profile.region_sectors
-
     # ------------------------------------------------------------------
     # Scrub integration
     # ------------------------------------------------------------------
@@ -346,10 +342,6 @@ class FaultModel:
         self._repairs.update(
             {int(r): float(t) for r, t in repair_times.items()}
         )
-
-    def clear_repairs(self) -> None:
-        """Forget every scheduled repair (back to the unscrubbed drive)."""
-        self._repairs = {}
 
     # ------------------------------------------------------------------
     # The per-access hook the drive calls

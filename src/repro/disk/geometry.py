@@ -189,10 +189,6 @@ class DiskGeometry:
         """Vectorized :meth:`sectors_per_track_at` over an array of LBAs."""
         return self._zone_spts[self._zone_indices(lbas)]
 
-    def seek_distance(self, lba_a: int, lba_b: int) -> int:
-        """Cylinder distance between two LBAs."""
-        return abs(self.cylinder_of(lba_a) - self.cylinder_of(lba_b))
-
     def _check_lba(self, lba: int) -> None:
         if lba < 0 or lba >= self.capacity_sectors:
             raise DiskModelError(

@@ -103,16 +103,6 @@ class SeekProfile:
         times = np.where(d <= self.boundary, sqrt_regime, linear_regime)
         return np.where(d == 0, 0.0, times)
 
-    def average_seek(self, samples: int = 512) -> float:
-        """Mean seek time over uniformly random ordered cylinder pairs,
-        evaluated by the exact distance distribution of a uniform stroke
-        (triangular, density ``2(1 - d/D)/D``)."""
-        distances = np.linspace(1, self.max_distance, samples)
-        weights = 2.0 * (1.0 - distances / self.max_distance) / self.max_distance
-        weights /= weights.sum()
-        times = np.array([self.seek_time(int(round(d))) for d in distances])
-        return float(np.dot(weights, times))
-
 
 def rotation_time(rpm: float) -> float:
     """Time of one full platter revolution in seconds."""

@@ -17,10 +17,6 @@ class TraceError(ReproError):
     """A trace container was constructed from, or asked to hold, invalid data."""
 
 
-class TraceValidationError(TraceError):
-    """A trace failed an explicit invariant check (see :mod:`repro.traces.validate`)."""
-
-
 class TraceFormatError(TraceError):
     """A trace file on disk does not conform to the expected serialization format."""
 

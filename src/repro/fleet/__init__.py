@@ -16,9 +16,9 @@ _EXPORTS = {
     ),
     ".placement": ("PLACEMENT_POLICIES", "FleetPlacement", "place_tenants"),
     ".qos": ("interference_report", "qos_entry", "tenant_qos_from_result"),
-    ".run": ("FleetPlan", "FleetSpec", "build_fleet_plan", "run_fleet"),
+    ".run": ("FleetPlan", "FleetSpec", "build_fleet_plan"),
     ".scrub": ("FleetScrubPlan", "allocate_idle_budget", "plan_fleet_scrub"),
-    ".tenant": ("DEFAULT_TENANT_PROFILES", "TenantLoad", "sample_tenants", "tenant_from_trace"),
+    ".tenant": ("DEFAULT_TENANT_PROFILES", "TenantLoad", "sample_tenants"),
 }
 
 __getattr__, __dir__, __all__ = lazy_exports(globals(), _EXPORTS)

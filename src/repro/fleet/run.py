@@ -4,9 +4,9 @@
 :func:`build_fleet_plan` turns it into concrete
 :class:`~repro.core.runner.ExperimentJob` rows (one per non-empty
 drive, each carrying its tenant set and a per-drive seed spawned from
-the fleet seed) and :func:`run_fleet` executes them through the sharded
-runner mode so drives are partitioned across workers and merged into
-one :class:`~repro.core.runner.SuiteReport`.
+the fleet seed). :meth:`~repro.core.runner.ExperimentRunner.run_sharded`
+executes them, partitioning drives across workers and merging one
+:class:`~repro.core.runner.SuiteReport`.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Optional, Tuple
 
-from repro.core.runner import ExperimentJob, ExperimentRunner, SuiteReport, derive_seeds
+from repro.core.runner import ExperimentJob, derive_seeds
 from repro.disk.drive import DriveSpec
 from repro.errors import FleetError
 from repro.fleet.placement import FleetPlacement, place_tenants
@@ -97,27 +97,4 @@ def build_fleet_plan(spec: FleetSpec) -> FleetPlan:
         placement=placement,
         jobs=tuple(jobs),
         drive_indices=tuple(drive_indices),
-    )
-
-
-def run_fleet(
-    spec: FleetSpec,
-    workers: Optional[int] = None,
-    shard_size: int = 4,
-    max_retries: int = 0,
-    on_error: str = "raise",
-    chaos: Optional[Any] = None,
-    journal: Optional[Any] = None,
-    progress: Optional[Any] = None,
-) -> SuiteReport:
-    """Run a fleet spec through the sharded runner and merge the report."""
-    plan = build_fleet_plan(spec)
-    runner = ExperimentRunner(
-        workers=workers,
-        max_retries=max_retries,
-        on_error=on_error,
-        chaos=chaos,
-    )
-    return runner.run_sharded(
-        plan.jobs, shard_size=shard_size, journal=journal, progress=progress
     )

@@ -90,17 +90,3 @@ def sample_tenants(
         rate = float(np.clip(base.rate * multipliers[i], min_rate, max_rate))
         tenants.append(TenantLoad(f"t{i:03d}", profile=base.with_rate(rate)))
     return tuple(tenants)
-
-
-def tenant_from_trace(trace: Any, tenant_id: str, base_scale: float = 0.01) -> TenantLoad:
-    """Build a tenant whose profile is calibrated against a real trace.
-
-    ``trace`` is an in-memory :class:`~repro.traces.RequestTrace` (e.g.
-    from the ingest layer, possibly with corrupt rows quarantined); the
-    PR 7 calibration loop fits a synthetic profile to it so the tenant
-    can be re-synthesized at any span and seed.
-    """
-    from repro.synth.calibrate import calibrate_profile
-
-    profile = calibrate_profile(trace, name=tenant_id, base_scale=base_scale)
-    return TenantLoad(tenant_id, profile=profile)

@@ -9,6 +9,9 @@ a host cache and compared against the disk-level profiles — closing the
 explanatory loop.
 """
 
-from repro.host.pagecache import PageCache, PageCacheStats
+from repro._lazy import lazy_exports
 
-__all__ = ["PageCache", "PageCacheStats"]
+#: Public names by defining module, imported on first access (PEP 562).
+_EXPORTS = {".pagecache": ("PageCache", "PageCacheStats")}
+
+__getattr__, __dir__, __all__ = lazy_exports(globals(), _EXPORTS)

@@ -235,10 +235,6 @@ class FixedHistogram:
         """Total observations, including under/overflow."""
         return int(self.counts.sum()) + self.underflow + self.overflow
 
-    def observe(self, value: float) -> None:
-        """Fold one observation."""
-        self.observe_many(np.asarray([value], dtype=np.float64))
-
     def observe_many(self, values: Sequence[float]) -> None:
         """Fold a batch of observations in a few vectorized passes."""
         values_arr = np.asarray(values, dtype=np.float64)

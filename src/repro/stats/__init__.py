@@ -13,15 +13,13 @@ from repro._lazy import lazy_exports
 #: Public names by defining module, imported on first access (PEP 562).
 _EXPORTS = {
     ".ecdf": ("Ecdf",),
-    ".histogram": ("Histogram", "log_bin_edges"),
     ".moments": (
-        "StreamingMoments", "coefficient_of_variation", "describe", "SampleDescription",
-        "sorted_quantiles",
+        "StreamingMoments", "describe", "SampleDescription", "sorted_quantiles",
     ),
     ".autocorr": ("autocorrelation", "integrated_autocorrelation_time"),
     ".dispersion": ("index_of_dispersion", "idc_curve"),
     ".hurst": ("hurst_aggregate_variance", "hurst_rescaled_range", "variance_time_curve"),
-    ".tail": ("hill_estimator", "tail_heaviness_ratio"),
+    ".tail": ("tail_heaviness_ratio",),
     ".fitting": (
         "ExponentialFit", "LognormalFit", "ParetoFit", "fit_exponential", "fit_lognormal",
         "fit_pareto", "best_fit",

@@ -79,12 +79,6 @@ class Ecdf:
         """P(X > x) — the complementary CDF, used for tail plots."""
         return 1.0 - self(x)
 
-    def steps(self) -> Tuple[np.ndarray, np.ndarray]:
-        """The (x, y) step coordinates of the ECDF, ready to plot: x is
-        the sorted sample, y climbs 1/n per point to 1.0."""
-        y = np.arange(1, self.n + 1, dtype=np.float64) / self.n
-        return self._sorted.copy(), y
-
     def sample_points(self, k: int = 50, log_x: bool = False) -> Tuple[np.ndarray, np.ndarray]:
         """``k`` (x, ECDF(x)) pairs spanning the sample range, linearly or
         logarithmically spaced — the series reported by the benchmarks."""

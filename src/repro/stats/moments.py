@@ -97,23 +97,6 @@ def describe(sample: Sequence[float]) -> SampleDescription:
     )
 
 
-def coefficient_of_variation(sample: Sequence[float]) -> float:
-    """Sample standard deviation divided by the mean.
-
-    CV = 1 characterizes the exponential distribution; disk-level
-    interarrival times show CV well above 1 (burstiness). NaN when the
-    mean is 0.
-    """
-    values = np.asarray(sample, dtype=np.float64)
-    values = values[~np.isnan(values)]
-    if values.size < 2:
-        raise StatsError("coefficient of variation needs at least 2 values")
-    mean = values.mean()
-    if mean == 0:
-        return float("nan")
-    return float(values.std(ddof=1) / mean)
-
-
 class StreamingMoments:
     """Welford's online algorithm for count, mean and variance.
 

@@ -2,9 +2,8 @@
 
 "Long stretches of idleness" means, quantitatively, that the upper tail
 of the idle-interval distribution is heavy: a small number of very long
-intervals carry most of the idle time. The Hill estimator measures the
-tail index; :func:`tail_heaviness_ratio` gives the analyst-friendly
-"what share of the total is in the top q of intervals" view.
+intervals carry most of the idle time. :func:`tail_heaviness_ratio`
+gives that as "what share of the total is in the top q of intervals".
 """
 
 from __future__ import annotations
@@ -14,32 +13,6 @@ from typing import Sequence
 import numpy as np
 
 from repro.errors import StatsError
-
-
-def hill_estimator(sample: Sequence[float], k: int) -> float:
-    """Hill's estimator of the tail index ``alpha`` from the ``k``
-    largest order statistics.
-
-    Smaller ``alpha`` means a heavier tail; ``alpha < 2`` implies infinite
-    variance (strongly heavy-tailed), ``alpha <= 1`` infinite mean. The
-    estimator requires the top-``k + 1`` values to be positive.
-    """
-    values = np.asarray(sample, dtype=np.float64)
-    values = values[~np.isnan(values)]
-    if k < 1:
-        raise StatsError(f"k must be >= 1, got {k!r}")
-    if values.size <= k:
-        raise StatsError(
-            f"sample of {values.size} too small for k={k} (need > k values)"
-        )
-    top = np.sort(values)[-(k + 1):]
-    if top[0] <= 0:
-        raise StatsError("Hill estimator requires positive order statistics")
-    logs = np.log(top)
-    gamma = float(np.mean(logs[1:] - logs[0]))
-    if gamma <= 0:
-        return float("inf")
-    return 1.0 / gamma
 
 
 def tail_heaviness_ratio(sample: Sequence[float], top_fraction: float = 0.1) -> float:

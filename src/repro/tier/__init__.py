@@ -8,33 +8,17 @@ migration planner (:class:`MigrationEngine`) and the engine-compatible
 .DiskSimulator` (``tier=``) or :class:`~repro.core.runner.ExperimentJob`.
 """
 
-from repro.tier.device import TIER_MODES, TierConfig, TieredDevice, TierStats
-from repro.tier.migration import MigrationEngine, MigrationPlan
-from repro.tier.policy import (
-    HeatPolicy,
-    LearnedPolicy,
-    LfuPolicy,
-    LruPolicy,
-    RecencyFrequencyPolicy,
-    available_heat_policies,
-    make_heat_policy,
-)
-from repro.tier.ssd import SsdSpec, datacenter_ssd
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "TIER_MODES",
-    "TierConfig",
-    "TierStats",
-    "TieredDevice",
-    "MigrationEngine",
-    "MigrationPlan",
-    "HeatPolicy",
-    "LruPolicy",
-    "LfuPolicy",
-    "RecencyFrequencyPolicy",
-    "LearnedPolicy",
-    "available_heat_policies",
-    "make_heat_policy",
-    "SsdSpec",
-    "datacenter_ssd",
-]
+#: Public names by defining module, imported on first access (PEP 562).
+_EXPORTS = {
+    ".device": ("TIER_MODES", "TierConfig", "TierStats", "TieredDevice"),
+    ".migration": ("MigrationEngine", "MigrationPlan"),
+    ".policy": (
+        "HeatPolicy", "LruPolicy", "LfuPolicy", "RecencyFrequencyPolicy", "LearnedPolicy",
+        "available_heat_policies", "make_heat_policy",
+    ),
+    ".ssd": ("SsdSpec",),
+}
+
+__getattr__, __dir__, __all__ = lazy_exports(globals(), _EXPORTS)

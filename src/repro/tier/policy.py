@@ -61,10 +61,6 @@ class HeatPolicy:
         """Every chunk with recorded history, in first-touch order."""
         return self._last_touch.keys()
 
-    def touches(self, chunk: int) -> int:
-        """Cumulative access count of ``chunk`` (0 when never touched)."""
-        return self._touches.get(chunk, 0)
-
     def score(self, chunk: int, now: float) -> float:
         """Heat of ``chunk`` at time ``now``; higher is hotter."""
         raise NotImplementedError

@@ -57,8 +57,3 @@ class SsdSpec:
         if is_write:
             return self.write_latency + nbytes / self.write_bandwidth
         return self.read_latency + nbytes / self.read_bandwidth
-
-
-def datacenter_ssd() -> SsdSpec:
-    """The default tier device: a datacenter SATA SSD."""
-    return SsdSpec()

@@ -27,14 +27,12 @@ _EXPORTS = {
     ".millisecond": ("RequestTrace",),
     ".hourly": ("HourlyTrace", "HourlyDataset"),
     ".lifetime": ("LifetimeRecord", "DriveFamilyDataset"),
-    ".window": ("TimeWindow", "bin_counts", "bin_sums", "sliding_windows"),
+    ".window": ("bin_counts", "bin_sums"),
     ".io": (
         "QuarantinedRow", "read_hourly_dataset", "read_lifetime_dataset",
         "write_hourly_dataset", "write_lifetime_dataset", "write_request_trace",
     ),
-    ".ops": ("jitter", "superpose", "thin", "time_scale", "truncate"),
-    ".collector": ("CounterLogger", "RequestCollector"),
-    ".validate": ("validate_family", "validate_hourly", "validate_request_trace"),
+    ".ops": ("jitter", "thin"),
 }
 
 __getattr__, __dir__, __all__ = lazy_exports(globals(), _EXPORTS)

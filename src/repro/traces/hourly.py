@@ -14,7 +14,7 @@ from typing import Dict, Iterator, List, Optional, Sequence
 import numpy as np
 
 from repro.errors import TraceError
-from repro.units import HOURS_PER_DAY, HOURS_PER_WEEK, SECONDS_PER_HOUR
+from repro.units import HOURS_PER_WEEK, SECONDS_PER_HOUR
 
 
 class HourlyTrace:
@@ -115,13 +115,6 @@ class HourlyTrace:
             return float("nan")
         return float(self._write.sum() / total)
 
-    def rw_ratio_series(self) -> np.ndarray:
-        """Read:write byte ratio per hour (NaN where nothing was written)."""
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = self._read / self._write
-        ratio[~np.isfinite(ratio)] = np.nan
-        return ratio
-
     def utilization_series(self, bandwidth: float) -> np.ndarray:
         """Per-hour bandwidth utilization given the drive's sustained
         ``bandwidth`` in bytes/second, clipped to [0, 1]."""
@@ -157,13 +150,6 @@ class HourlyTrace:
             counts[how] += 1
         with np.errstate(invalid="ignore"):
             return np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
-
-    def fold_daily(self) -> np.ndarray:
-        """Mean total traffic per hour-of-day (length 24)."""
-        weekly = self.fold_weekly()
-        days = weekly.reshape(7, HOURS_PER_DAY)
-        with np.errstate(invalid="ignore"):
-            return np.nanmean(days, axis=0)
 
 
 class HourlyDataset:

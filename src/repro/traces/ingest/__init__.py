@@ -53,33 +53,22 @@ Usage::
 """
 
 from repro._lazy import lazy_exports
-from repro.traces.ingest.base import ParseRowError, TraceParser
-from repro.traces.ingest.registry import (
-    available_formats,
-    get_parser,
-    register_parser,
-)
-from repro.traces.ingest.msr import MsrParser
-from repro.traces.ingest.blktrace import BlktraceParser
-from repro.traces.ingest.alibaba import AlibabaParser
-from repro.traces.ingest.spc import SpcParser
-from repro.traces.ingest.native import NativeParser
 
 # The parsers register themselves on import, so they load with the
 # package; TraceSource (only ``run-suite --trace`` needs it) loads on
 # first access, which keeps it out of every CLI start.
-__getattr__, __dir__, _ = lazy_exports(globals(), {".source": ("TraceSource",)})
+from repro.traces.ingest import msr, blktrace, alibaba, spc, native  # noqa: F401
 
-__all__ = [
-    "AlibabaParser",
-    "BlktraceParser",
-    "MsrParser",
-    "NativeParser",
-    "ParseRowError",
-    "SpcParser",
-    "TraceParser",
-    "TraceSource",
-    "available_formats",
-    "get_parser",
-    "register_parser",
-]
+#: Public names by defining module, imported on first access (PEP 562).
+_EXPORTS = {
+    ".base": ("ParseRowError", "TraceParser"),
+    ".registry": ("available_formats", "get_parser", "register_parser"),
+    ".msr": ("MsrParser",),
+    ".blktrace": ("BlktraceParser",),
+    ".alibaba": ("AlibabaParser",),
+    ".spc": ("SpcParser",),
+    ".native": ("NativeParser",),
+    ".source": ("TraceSource",),
+}
+
+__getattr__, __dir__, __all__ = lazy_exports(globals(), _EXPORTS)

@@ -128,14 +128,3 @@ class DriveFamilyDataset:
     def mean_utilizations(self, bandwidth: float) -> np.ndarray:
         """Per-drive lifetime-average bandwidth utilization."""
         return np.array([r.mean_utilization(bandwidth) for r in self._records])
-
-    def models(self) -> List[str]:
-        """Distinct model strings present, sorted."""
-        return sorted({r.model for r in self._records})
-
-    def subset_by_model(self, model: str) -> "DriveFamilyDataset":
-        """The records of one model within the family."""
-        return DriveFamilyDataset(
-            [r for r in self._records if r.model == model],
-            family=f"{self.family}:{model}",
-        )

@@ -9,7 +9,7 @@ on.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -157,24 +157,6 @@ class RequestTrace:
     # ------------------------------------------------------------------
     # Construction helpers
     # ------------------------------------------------------------------
-
-    @classmethod
-    def from_requests(
-        cls,
-        requests: Iterable[DiskRequest],
-        span: Optional[float] = None,
-        label: str = "trace",
-    ) -> "RequestTrace":
-        """Build a trace from an iterable of :class:`DiskRequest`."""
-        reqs = list(requests)
-        return cls(
-            times=[r.time for r in reqs],
-            lbas=[r.lba for r in reqs],
-            nsectors=[r.nsectors for r in reqs],
-            is_write=[r.is_write for r in reqs],
-            span=span,
-            label=label,
-        )
 
     @classmethod
     def empty(cls, span: float = 0.0, label: str = "trace") -> "RequestTrace":

@@ -1,26 +1,19 @@
 """Trace transformations: principled ways to derive one trace from another.
 
 Workload studies constantly need controlled variants of a trace — the
-same arrival structure at a lower rate, a time-compressed replay, two
-workloads sharing one drive. These operations implement the standard
-transformations with their statistical caveats documented:
+same arrival structure at a lower rate, or the same trace with its fine
+timing blurred. These operations implement the standard transformations
+with their statistical caveats documented:
 
 * :func:`thin` — keep each request independently with probability ``p``.
   Preserves the arrival process *family* (a thinned Poisson process is
   Poisson; thinned LRD traffic stays LRD) while scaling the rate.
-* :func:`time_scale` — multiply all timestamps by a factor: compresses
-  or stretches the clock, scaling the rate by ``1/factor`` while keeping
-  per-request attributes. Burstiness *per scale* shifts accordingly.
 * :func:`jitter` — perturb arrival times by bounded uniform noise:
   destroys sub-``amount`` timing structure while preserving coarser
   scales; the standard sensitivity check for short-range artifacts.
-* :func:`superpose` — an alias of :meth:`RequestTrace.merge` with rate
-  bookkeeping, for building multi-client streams.
 """
 
 from __future__ import annotations
-
-from typing import Optional, Sequence
 
 import numpy as np
 
@@ -52,24 +45,6 @@ def thin(
     )
 
 
-def time_scale(trace: RequestTrace, factor: float) -> RequestTrace:
-    """Multiply every timestamp (and the span) by ``factor``.
-
-    ``factor < 1`` compresses the trace (higher rate), ``factor > 1``
-    stretches it. Request attributes are untouched.
-    """
-    if factor <= 0:
-        raise TraceError(f"factor must be > 0, got {factor!r}")
-    return RequestTrace(
-        times=trace.times * factor,
-        lbas=trace.lbas,
-        nsectors=trace.nsectors,
-        is_write=trace.is_write,
-        span=trace.span * factor,
-        label=f"{trace.label}~x{factor:g}",
-    )
-
-
 def jitter(trace: RequestTrace, amount: float, seed: int = 0) -> RequestTrace:
     """Add uniform noise in ``[-amount, +amount]`` to each arrival time.
 
@@ -92,27 +67,3 @@ def jitter(trace: RequestTrace, amount: float, seed: int = 0) -> RequestTrace:
         span=trace.span,
         label=f"{trace.label}~jitter({amount:g})",
     )
-
-
-def superpose(
-    traces: Sequence[RequestTrace], label: Optional[str] = None
-) -> RequestTrace:
-    """Merge several traces sharing one clock into a single stream.
-
-    Thin wrapper over :meth:`RequestTrace.merge` that also derives a
-    descriptive label. Rates add; burstiness of the aggregate depends on
-    the components (heavy-tailed ON/OFF components keep it — the Taqqu
-    construction in :mod:`repro.synth.selfsimilar`).
-    """
-    if not traces:
-        raise TraceError("superpose needs at least one trace")
-    if label is None:
-        label = "+".join(t.label for t in traces)
-    return RequestTrace.merge(list(traces), label=label)
-
-
-def truncate(trace: RequestTrace, span: float) -> RequestTrace:
-    """Keep only the first ``span`` seconds of the trace."""
-    if span <= 0:
-        raise TraceError(f"span must be > 0, got {span!r}")
-    return trace.slice_time(0.0, min(span, trace.span))

@@ -54,11 +54,6 @@ class DiskRequest:
         return self.nsectors * SECTOR_BYTES
 
     @property
-    def last_lba(self) -> int:
-        """The last sector touched by this request (inclusive)."""
-        return self.lba + self.nsectors - 1
-
-    @property
     def op(self) -> str:
         """Human-readable direction: ``'W'`` or ``'R'``."""
         return "W" if self.is_write else "R"

@@ -8,37 +8,9 @@ re-binning once, carefully, for everyone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
-
 import numpy as np
 
 from repro.errors import TraceError
-
-
-@dataclass(frozen=True)
-class TimeWindow:
-    """A half-open interval ``[start, end)`` on the trace clock."""
-
-    start: float
-    end: float
-
-    def __post_init__(self) -> None:
-        if self.end < self.start:
-            raise TraceError(f"window end {self.end!r} precedes start {self.start!r}")
-
-    @property
-    def length(self) -> float:
-        """Window length in seconds."""
-        return self.end - self.start
-
-    def contains(self, t: float) -> bool:
-        """Whether time ``t`` falls inside the half-open window."""
-        return self.start <= t < self.end
-
-    def overlap(self, other: "TimeWindow") -> float:
-        """Length of the intersection with ``other`` (0 if disjoint)."""
-        return max(0.0, min(self.end, other.end) - max(self.start, other.start))
 
 
 def _num_bins(scale: float, span: float) -> int:
@@ -81,22 +53,6 @@ def bin_sums(
         return np.zeros(0, dtype=np.float64)
     idx = np.minimum((times / scale).astype(np.int64), nbins - 1)
     return np.bincount(idx, weights=weights, minlength=nbins)
-
-
-def sliding_windows(span: float, length: float, step: float) -> Iterator[TimeWindow]:
-    """Yield windows of ``length`` seconds advancing by ``step`` over
-    ``[0, span)``; the final window may be truncated at ``span``.
-
-    Used by the traffic-dynamics analyses that need overlapping views.
-    """
-    if length <= 0:
-        raise TraceError(f"window length must be > 0, got {length!r}")
-    if step <= 0:
-        raise TraceError(f"window step must be > 0, got {step!r}")
-    start = 0.0
-    while start < span:
-        yield TimeWindow(start, min(start + length, span))
-        start += step
 
 
 def aggregate(series: np.ndarray, factor: int) -> np.ndarray:

@@ -42,29 +42,9 @@ def us(value: float) -> float:
     return value / US_PER_SECOND
 
 
-def minutes(value: float) -> float:
-    """Convert minutes to seconds."""
-    return value * SECONDS_PER_MINUTE
-
-
 def hours(value: float) -> float:
     """Convert hours to seconds."""
     return value * SECONDS_PER_HOUR
-
-
-def days(value: float) -> float:
-    """Convert days to seconds."""
-    return value * SECONDS_PER_DAY
-
-
-def to_ms(seconds: float) -> float:
-    """Convert seconds to milliseconds (for display)."""
-    return seconds * MS_PER_SECOND
-
-
-def sectors_to_bytes(sectors: int) -> int:
-    """Convert a sector count to bytes."""
-    return sectors * SECTOR_BYTES
 
 
 def bytes_to_sectors(nbytes: int) -> int:

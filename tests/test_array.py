@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.disk.array import MirroredPair, StripedArray, member_imbalance
+from repro.disk.array import StripedArray, member_imbalance
 from repro.errors import DiskModelError
 from repro.traces.millisecond import RequestTrace
 
@@ -121,33 +121,6 @@ class TestStripedSplit:
         )
         imbalance = member_imbalance(a.split_trace(trace))
         assert imbalance < 1.15
-
-
-class TestMirroredPair:
-    def test_writes_duplicate(self):
-        m = MirroredPair(10_000)
-        trace = RequestTrace([0.0, 1.0], [0, 100], [8, 8], [True, True], span=2.0)
-        parts = m.split_trace(trace)
-        assert len(parts[0]) == 2 and len(parts[1]) == 2
-        assert parts[0].total_bytes == parts[1].total_bytes == trace.total_bytes
-
-    def test_reads_alternate(self):
-        m = MirroredPair(10_000)
-        trace = RequestTrace(
-            [0.0, 1.0, 2.0, 3.0], [0, 0, 0, 0], [8] * 4, [False] * 4, span=4.0
-        )
-        parts = m.split_trace(trace)
-        assert len(parts[0]) == 2 and len(parts[1]) == 2
-
-    def test_capacity_checked(self):
-        m = MirroredPair(100)
-        trace = RequestTrace([0.0], [96], [8], [False], span=1.0)
-        with pytest.raises(DiskModelError):
-            m.split_trace(trace)
-
-    def test_invalid_construction(self):
-        with pytest.raises(DiskModelError):
-            MirroredPair(0)
 
 
 class TestImbalance:

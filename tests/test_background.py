@@ -1,5 +1,6 @@
 """Background-task execution in idle time."""
 
+import numpy as np
 import pytest
 
 from repro.core.background import (
@@ -9,7 +10,6 @@ from repro.core.background import (
     run_in_idle,
     scrub_latent_regions,
 )
-from repro.core.idleness import chunks_available
 from repro.disk.faults import FaultModel, FaultProfile
 from repro.disk.timeline import BusyIdleTimeline
 from repro.errors import AnalysisError, FaultInjectionError
@@ -167,29 +167,14 @@ class TestDuckTypedTimelines:
 
 
 class TestChunksAvailable:
-    def test_counts_whole_chunks_per_interval(self, timeline):
-        # Idle intervals of 5, 2 and 40 seconds.
-        assert chunks_available(timeline, 1.0) == 47
-        assert chunks_available(timeline, 10.0) == 4
-        assert chunks_available(timeline, 2.0, setup_seconds=1.0) == 2 + 0 + 19
-
-    def test_saturated_timeline(self):
-        t = BusyIdleTimeline([(0.0, 4.0)], span=4.0)
-        assert chunks_available(t, 1.0) == 0
-
-    def test_validation(self, timeline):
-        with pytest.raises(AnalysisError):
-            chunks_available(timeline, 0.0)
-        with pytest.raises(AnalysisError):
-            chunks_available(timeline, 1.0, setup_seconds=-0.5)
-
     def test_bounds_run_in_idle(self, timeline):
         # The capacity bound is exactly what a huge task can harvest.
         report = run_in_idle(
             timeline, BackgroundTask("t", total_work=1e6, chunk_seconds=3.0,
                                      setup_seconds=0.5)
         )
-        bound = chunks_available(timeline, 3.0, setup_seconds=0.5)
+        usable = np.maximum(timeline.idle_periods() - 0.5, 0.0)
+        bound = np.floor(usable / 3.0).sum()
         assert report.completed_work == pytest.approx(bound * 3.0)
 
 

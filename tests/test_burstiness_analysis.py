@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.burstiness import analyze_burstiness, compare_burstiness
+from repro.core.burstiness import analyze_burstiness
 from repro.errors import AnalysisError
 from repro.synth.arrivals import bmodel_arrivals, poisson_arrivals
 from repro.traces.millisecond import RequestTrace
@@ -67,9 +67,3 @@ def test_trace_too_short_for_scales_rejected():
     t = trace_from_times(np.linspace(0, 0.9, 100), 1.0, "short")
     with pytest.raises(AnalysisError):
         analyze_burstiness(t, base_scale=1.0, factors=(1, 2))
-
-
-def test_compare_burstiness_keyed_by_label(poisson_trace, bursty_trace):
-    results = compare_burstiness([poisson_trace, bursty_trace])
-    assert set(results) == {"poisson", "bmodel"}
-    assert results["bmodel"].idc_growth > results["poisson"].idc_growth

@@ -5,7 +5,6 @@ import pytest
 from repro.core.busyness import (
     analyze_busyness,
     busy_period_ecdf,
-    longest_sustained_load,
 )
 from repro.disk.timeline import BusyIdleTimeline
 from repro.errors import AnalysisError
@@ -44,29 +43,6 @@ def test_ecdf(timeline):
     e = busy_period_ecdf(timeline)
     assert e.n == 3
     assert e(2.5) == pytest.approx(2 / 3)
-
-
-class TestSustainedLoad:
-    def test_detects_run(self):
-        # 5 consecutive saturated seconds within 20 s.
-        t = BusyIdleTimeline([(3.0, 8.0)], span=20.0)
-        windows, seconds = longest_sustained_load(t, scale=1.0, threshold=0.9)
-        assert windows == 5
-        assert seconds == 5.0
-
-    def test_zero_when_never_saturated(self, timeline):
-        windows, _ = longest_sustained_load(timeline, scale=10.0, threshold=0.9)
-        assert windows == 0
-
-    def test_full_span_saturated(self):
-        t = BusyIdleTimeline([(0.0, 30.0)], span=30.0)
-        windows, seconds = longest_sustained_load(t, scale=10.0)
-        assert windows == 3
-        assert seconds == 30.0
-
-    def test_bad_threshold_rejected(self, timeline):
-        with pytest.raises(AnalysisError):
-            longest_sustained_load(timeline, 1.0, threshold=1.5)
 
 
 def test_short_busy_periods_on_web_profile(web_result):

@@ -49,15 +49,6 @@ def test_similar_pairs_consistent(studies):
     assert {a, b} != {x, y} or len(studies) == 2
 
 
-def test_nearest_to(studies):
-    result = compare_studies(studies)
-    neighbor, distance = result.nearest_to("web")
-    assert neighbor in studies and neighbor != "web"
-    assert distance > 0
-    with pytest.raises(AnalysisError):
-        result.nearest_to("nope")
-
-
 def test_self_similarity(tiny_spec):
     # Two seeds of the same profile should be nearer to each other than
     # to a structurally different workload.

@@ -66,12 +66,6 @@ def test_survival_complements_cdf():
     assert e.survival(1.5) == pytest.approx(1.0 - e(1.5))
 
 
-def test_steps_monotone_to_one():
-    xs, ys = Ecdf([3.0, 1.0, 2.0]).steps()
-    assert xs.tolist() == [1.0, 2.0, 3.0]
-    assert ys.tolist() == pytest.approx([1 / 3, 2 / 3, 1.0])
-
-
 def test_sample_points_linear():
     e = Ecdf(np.arange(1, 101, dtype=float))
     xs, ys = e.sample_points(k=10)

@@ -9,7 +9,6 @@ from repro import errors
     "exc",
     [
         errors.TraceError,
-        errors.TraceValidationError,
         errors.TraceFormatError,
         errors.DiskModelError,
         errors.SimulationError,
@@ -25,7 +24,6 @@ def test_all_derive_from_repro_error(exc):
 
 
 def test_validation_error_is_trace_error():
-    assert issubclass(errors.TraceValidationError, errors.TraceError)
     assert issubclass(errors.TraceFormatError, errors.TraceError)
 
 

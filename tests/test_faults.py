@@ -20,7 +20,7 @@ from repro.disk.faults import (
 )
 from repro.disk.simulator import DiskSimulator
 from repro.disk.timeline import BusyIdleTimeline
-from repro.errors import AnalysisError, FaultInjectionError
+from repro.errors import FaultInjectionError
 from repro.synth.profiles import get_profile
 from repro.traces.millisecond import RequestTrace
 from repro.units import ms
@@ -245,8 +245,6 @@ class TestFaultSemantics:
         _, late = model.on_media_access(lba, 8, self.BASE, 6.0)
         assert late is None
         assert model.unrepaired_latent_regions() == ()
-        model.clear_repairs()
-        assert model.unrepaired_latent_regions() == (region,)
 
     def test_repair_validation(self, geometry):
         model = _single_latent_model(geometry)

@@ -28,12 +28,11 @@ from repro.fleet import (
     combine_columns,
     place_tenants,
     plan_fleet_scrub,
-    run_fleet,
     sample_tenants,
     synthesize_tenant_columns,
-    tenant_from_trace,
     volume_layout,
 )
+from repro.synth.calibrate import calibrate_profile
 from repro.synth.profiles import get_profile
 
 
@@ -61,6 +60,12 @@ def first_member_raises_once(job):
         marker.write_text("raised")
         raise ValueError("transient failure")
     return run_job(job)
+
+
+def _run_fleet(spec, shard_size):
+    """Run a fleet spec through the sharded runner in-process."""
+    plan = build_fleet_plan(spec)
+    return ExperimentRunner(workers=1).run_sharded(plan.jobs, shard_size=shard_size)
 
 
 @pytest.fixture(scope="module")
@@ -103,12 +108,6 @@ class TestTenantLoad:
             sample_tenants(3, profiles=())
         with pytest.raises(FleetError):
             sample_tenants(3, min_rate=10.0, max_rate=1.0)
-
-    def test_tenant_from_trace_calibrates(self, web_trace):
-        tenant = tenant_from_trace(web_trace, "cal0")
-        assert tenant.tenant_id == "cal0"
-        assert tenant.profile is not None
-        assert tenant.profile.rate > 0
 
 
 class TestPlacement:
@@ -378,7 +377,7 @@ class TestFleetRun:
         assert len({job.seed for job in plan.jobs}) == len(plan.jobs)
 
     def test_run_fleet_summary_conserves_requests(self, small_fleet):
-        report = run_fleet(small_fleet, workers=1, shard_size=2)
+        report = _run_fleet(small_fleet, shard_size=2)
         summary = report.fleet_summary()
         assert sorted(summary) == sorted(
             t.tenant_id for t in small_fleet.tenants
@@ -389,11 +388,12 @@ class TestFleetRun:
         assert "fleet_summary" in report.as_dict()
 
     def test_calibrated_tenant_through_fleet(self, tiny_spec, web_trace):
-        tenant = tenant_from_trace(web_trace, "calibrated")
+        profile = calibrate_profile(web_trace, name="calibrated", base_scale=0.01)
+        tenant = TenantLoad("calibrated", profile=profile)
         spec = FleetSpec(
             n_drives=1, tenants=(tenant,), drive=tiny_spec, span=2.0, seed=3
         )
-        report = run_fleet(spec, workers=1, shard_size=1)
+        report = _run_fleet(spec, shard_size=1)
         assert report.ok
         assert "calibrated" in report.results[0].tenant_qos
 
@@ -418,7 +418,7 @@ class TestFleetScrub:
         )
 
     def test_plan_fleet_scrub(self, small_fleet):
-        report = run_fleet(small_fleet, workers=1, shard_size=2)
+        report = _run_fleet(small_fleet, shard_size=2)
         plan = plan_fleet_scrub(report.results, budget_seconds=5.0,
                                 work_seconds_per_drive=2.0)
         assert 0.0 < plan.completion_fraction <= 1.0

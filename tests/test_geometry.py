@@ -45,12 +45,6 @@ class TestDiskGeometry:
         g = small_geometry()
         assert g.cylinder_of(g.capacity_sectors - 1) == 19
 
-    def test_seek_distance(self):
-        g = small_geometry()
-        assert g.seek_distance(0, 0) == 0
-        assert g.seek_distance(0, 200) == 1
-        assert g.seek_distance(200, 0) == 1
-
     def test_lba_bounds_checked(self):
         g = small_geometry()
         with pytest.raises(DiskModelError):

@@ -1,5 +1,7 @@
 """Hour-scale population analysis."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -79,6 +81,19 @@ class TestWeeklyCurve:
     def test_ratio_nan_for_sparse_observation(self):
         short = HourlyDataset([HourlyTrace("d", np.ones(24), np.zeros(24))])
         assert np.isnan(diurnal_peak_ratio(short))
+
+    def test_unobserved_hours_nan_without_warning(self):
+        # One day observed: the other 144 hours of the week have no data.
+        short = HourlyDataset([
+            HourlyTrace("a", np.ones(24), np.zeros(24)),
+            HourlyTrace("b", np.full(24, 3.0), np.zeros(24)),
+        ])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            curve = population_weekly_curve(short)
+            assert np.isnan(diurnal_peak_ratio(short))
+        assert curve[:24].tolist() == [2.0] * 24
+        assert np.isnan(curve[24:]).all()
 
 
 def test_saturated_drive_detection_exact():

@@ -58,12 +58,6 @@ class TestHourlyTrace:
         t = HourlyTrace("d", np.zeros(5), np.zeros(5))
         assert np.isnan(t.write_byte_fraction)
 
-    def test_rw_ratio_series(self):
-        t = HourlyTrace("d", [2.0, 1.0], [1.0, 0.0])
-        ratio = t.rw_ratio_series()
-        assert ratio[0] == pytest.approx(2.0)
-        assert np.isnan(ratio[1])
-
     def test_utilization_series_clipped(self):
         bw = 100.0  # bytes/s
         t = HourlyTrace("d", [bw * SECONDS_PER_HOUR * 2], [0.0])
@@ -93,9 +87,6 @@ class TestHourlyTrace:
         weekly = t.fold_weekly()
         assert np.isfinite(weekly[:24]).all()
         assert np.isnan(weekly[24:]).all()
-
-    def test_fold_daily_shape(self):
-        assert make_trace(hours=168).fold_daily().shape == (24,)
 
 
 class TestHourlyDataset:

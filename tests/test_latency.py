@@ -6,8 +6,6 @@ import pytest
 from repro.core.latency import (
     DegradedTailAnalysis,
     analyze_latency,
-    queue_depth_series,
-    response_ecdf,
     tail_inflation,
 )
 from repro.disk.simulator import DiskSimulator
@@ -58,39 +56,9 @@ class TestAnalyzeLatency:
         result = DiskSimulator(tiny_spec).run(RequestTrace.empty(span=1.0))
         with pytest.raises(AnalysisError):
             analyze_latency(result)
-        with pytest.raises(AnalysisError):
-            response_ecdf(result)
 
 
 class TestQueueDepthSeries:
-    def test_time_average_matches_littles_law(self, web_result):
-        series = queue_depth_series(web_result, scale=1.0)
-        a = analyze_latency(web_result)
-        # Weighted mean of the per-window means equals overall L.
-        span = web_result.timeline.span
-        edges = np.minimum(np.arange(series.size + 1) * 1.0, span)
-        widths = np.diff(edges)
-        overall = float((series * widths).sum() / span)
-        assert overall == pytest.approx(a.mean_queue_depth, rel=0.02)
-
-    def test_nonnegative(self, web_result):
-        assert queue_depth_series(web_result, 0.5).min() >= 0
-
-    def test_idle_windows_zero(self, tiny_spec):
-        trace = RequestTrace([5.0], [100], [8], [False], span=10.0)
-        result = DiskSimulator(tiny_spec).run(trace)
-        series = queue_depth_series(result, 1.0)
-        assert series[0] == 0.0
-        assert series[5] > 0.0
-
-    def test_empty_trace(self, tiny_spec):
-        result = DiskSimulator(tiny_spec).run(RequestTrace.empty(span=2.0))
-        assert queue_depth_series(result, 1.0).size == 0
-
-    def test_bad_scale_rejected(self, web_result):
-        with pytest.raises(AnalysisError):
-            queue_depth_series(web_result, 0.0)
-
     def test_depth_grows_with_load(self, tiny_spec):
         low = get_profile("database").with_rate(20.0).synthesize(
             30.0, tiny_spec.capacity_sectors, seed=3
@@ -102,12 +70,6 @@ class TestQueueDepthSeries:
         d_high = analyze_latency(DiskSimulator(tiny_spec, seed=1).run(high))
         assert d_high.mean_queue_depth > d_low.mean_queue_depth
         assert d_high.max_queue_depth >= d_low.max_queue_depth
-
-
-def test_response_ecdf(web_result):
-    e = response_ecdf(web_result)
-    assert e.n == len(web_result.trace)
-    assert e.quantile(0.5) <= e.quantile(0.99)
 
 
 class TestTailInflationGuards:

@@ -17,9 +17,11 @@ LAZY_PACKAGES = (
     "repro.core",
     "repro.disk",
     "repro.fleet",
+    "repro.host",
     "repro.obs",
     "repro.stats",
     "repro.synth",
+    "repro.tier",
     "repro.traces",
     "repro.traces.ingest",
 )

@@ -82,13 +82,5 @@ class TestDriveFamilyDataset:
         bw = ds[0].mean_throughput * 2
         assert ds.mean_utilizations(bw)[0] == pytest.approx(0.5)
 
-    def test_models_and_subset(self):
-        records = [make_record("a", model="m1"), make_record("b", model="m2"), make_record("c", model="m1")]
-        ds = DriveFamilyDataset(records)
-        assert ds.models() == ["m1", "m2"]
-        subset = ds.subset_by_model("m1")
-        assert len(subset) == 2
-        assert all(r.model == "m1" for r in subset)
-
     def test_repr_mentions_family(self):
         assert "fam" in repr(self.make_family())

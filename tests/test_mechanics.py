@@ -41,12 +41,6 @@ class TestSeekProfile:
         with pytest.raises(DiskModelError):
             profile.seek_time(-1)
 
-    def test_average_seek_between_single_and_full(self, profile):
-        avg = profile.average_seek()
-        assert ms(0.5) < avg < ms(9.0)
-        # Data sheets put average seek near 1/2 of full stroke time or less.
-        assert avg < ms(6.0)
-
     def test_invalid_profile_rejected(self):
         with pytest.raises(DiskModelError):
             SeekProfile(single_cylinder=0.0, full_stroke=1.0, max_distance=10)

@@ -5,7 +5,6 @@ import pytest
 
 from repro.errors import TraceError
 from repro.traces.millisecond import RequestTrace
-from repro.traces.request import DiskRequest
 
 
 def make_trace(**kwargs):
@@ -96,14 +95,6 @@ def test_empty_trace():
     assert t.span == 5.0
     assert t.request_rate == 0.0
     assert np.isnan(t.write_fraction)
-
-
-def test_from_requests_roundtrip():
-    reqs = [DiskRequest(0.5, 10, 4, True), DiskRequest(0.1, 0, 8, False)]
-    t = RequestTrace.from_requests(reqs, span=2.0)
-    assert len(t) == 2
-    assert t[0] == DiskRequest(0.1, 0, 8, False)
-    assert t[1] == DiskRequest(0.5, 10, 4, True)
 
 
 def test_iteration_yields_requests_in_order():

@@ -6,7 +6,6 @@ import pytest
 from repro.errors import StatsError
 from repro.stats.moments import (
     StreamingMoments,
-    coefficient_of_variation,
     describe,
 )
 
@@ -41,20 +40,6 @@ class TestDescribe:
     def test_cv_nan_for_zero_mean(self):
         d = describe([-1.0, 1.0])
         assert np.isnan(d.cv)
-
-
-class TestCoefficientOfVariation:
-    def test_exponential_cv_near_one(self):
-        rng = np.random.default_rng(2)
-        sample = rng.exponential(3.0, 20000)
-        assert coefficient_of_variation(sample) == pytest.approx(1.0, abs=0.05)
-
-    def test_constant_sample_cv_zero(self):
-        assert coefficient_of_variation([2.0, 2.0, 2.0]) == 0.0
-
-    def test_needs_two_values(self):
-        with pytest.raises(StatsError):
-            coefficient_of_variation([1.0])
 
 
 class TestStreamingMoments:

@@ -75,16 +75,6 @@ class TestFixedHistogram:
         assert hist.n == 7
         assert hist.n == int(hist.counts.sum()) + hist.underflow + hist.overflow
 
-    def test_scalar_observe_matches_batch(self):
-        values = [0.1, 0.5, 0.9, 2.5]
-        one = FixedHistogram([0.0, 1.0, 2.0, 3.0])
-        many = FixedHistogram([0.0, 1.0, 2.0, 3.0])
-        for v in values:
-            one.observe(v)
-        many.observe_many(values)
-        assert np.array_equal(one.counts, many.counts)
-        assert one.moments.mean == pytest.approx(many.moments.mean)
-
     def test_rejects_non_finite_observations(self):
         hist = FixedHistogram(DEFAULT_TIME_EDGES)
         for bad in (float("nan"), float("inf"), float("-inf")):
@@ -105,7 +95,7 @@ class TestFixedHistogram:
     def test_quantile_nan_when_empty_or_all_outside(self):
         hist = FixedHistogram([0.0, 1.0])
         assert math.isnan(hist.approx_quantile(0.5))
-        hist.observe(5.0)  # overflow only
+        hist.observe_many([5.0])  # overflow only
         assert math.isnan(hist.approx_quantile(0.5))
 
     def test_merge_requires_identical_edges(self):

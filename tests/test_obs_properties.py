@@ -48,7 +48,7 @@ def _registry(ops) -> MetricsRegistry:
         elif kind == "gauge":
             registry.gauge(f"g.{name}").set(value)
         else:
-            registry.histogram(f"h.{name}", edges=EDGES).observe(value)
+            registry.histogram(f"h.{name}", edges=EDGES).observe_many([value])
     return registry
 
 

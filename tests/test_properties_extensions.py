@@ -1,15 +1,14 @@
 """Property-based tests for the extension modules (hypothesis)."""
 
-import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.disk.array import StripedArray, MirroredPair
+from repro.disk.array import StripedArray
 from repro.disk.power import PowerProfile, evaluate_spin_down
 from repro.disk.timeline import BusyIdleTimeline
 from repro.core.background import BackgroundTask, run_in_idle
 from repro.traces.millisecond import RequestTrace
-from repro.traces.ops import jitter, thin, time_scale
+from repro.traces.ops import jitter, thin
 
 SPAN = 50.0
 
@@ -55,20 +54,6 @@ def test_striping_conserves_everything(trace, n_members, chunk):
             assert p.span == trace.span
 
 
-@settings(deadline=None, max_examples=40)
-@given(traces())
-def test_mirroring_conserves_writes_and_balances_reads(trace):
-    mirror = MirroredPair(100_000)
-    a, b = mirror.split_trace(trace)
-    n_writes = int(trace.is_write.sum())
-    n_reads = len(trace) - n_writes
-    assert len(a) + len(b) == 2 * n_writes + n_reads
-    # Read counts differ by at most one (round-robin).
-    reads_a = len(a) - int(a.is_write.sum())
-    reads_b = len(b) - int(b.is_write.sum())
-    assert abs(reads_a - reads_b) <= 1
-
-
 @settings(deadline=None, max_examples=50)
 @given(interval_sets(), st.floats(0.0, 30.0))
 def test_spin_down_energy_bounded(intervals, timeout):
@@ -111,15 +96,6 @@ def test_thin_is_subset(trace, p):
     thinned = thin(trace, p, seed=1)
     assert len(thinned) <= len(trace)
     assert thinned.span == trace.span
-
-
-@settings(deadline=None, max_examples=40)
-@given(traces(), st.floats(0.1, 10.0))
-def test_time_scale_preserves_counts_and_bytes(trace, factor):
-    scaled = time_scale(trace, factor)
-    assert len(scaled) == len(trace)
-    assert scaled.total_bytes == trace.total_bytes
-    assert np.isclose(scaled.span, trace.span * factor)
 
 
 @settings(deadline=None, max_examples=40)

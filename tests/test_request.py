@@ -18,10 +18,6 @@ def test_nbytes_uses_sector_size():
     assert DiskRequest(0.0, 0, 8, False).nbytes == 4096
 
 
-def test_last_lba_inclusive():
-    assert DiskRequest(0.0, 100, 8, False).last_lba == 107
-
-
 def test_op_string():
     assert DiskRequest(0.0, 0, 1, True).op == "W"
     assert DiskRequest(0.0, 0, 1, False).op == "R"

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.summary import WorkloadSummary, summarize_trace
+from repro.core.summary import summarize_trace
 from repro.errors import AnalysisError
 from repro.traces.millisecond import RequestTrace
 
@@ -46,13 +46,3 @@ def test_cv_nan_for_two_requests():
 def test_empty_trace_rejected():
     with pytest.raises(AnalysisError):
         summarize_trace(RequestTrace.empty(span=1.0))
-
-
-def test_row_and_headers_aligned():
-    s = summarize_trace(make_trace())
-    row = s.as_row()
-    headers = WorkloadSummary.headers()
-    assert len(row) == len(headers)
-    assert headers[0] == "name"
-    assert row[0] == "sum"
-    assert headers[headers.index("sequentiality")] == "sequentiality"

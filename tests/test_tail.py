@@ -1,39 +1,11 @@
-"""Heavy-tail diagnostics: Hill estimator and tail heaviness ratio."""
+"""Heavy-tail diagnostics: the tail heaviness ratio."""
 
 import numpy as np
 import pytest
 
 from repro.errors import StatsError
-from repro.stats.tail import hill_estimator, tail_heaviness_ratio
+from repro.stats.tail import tail_heaviness_ratio
 from repro.synth.arrivals import pareto_sample
-
-
-class TestHillEstimator:
-    def test_recovers_pareto_alpha(self):
-        rng = np.random.default_rng(30)
-        for alpha in (1.2, 2.0, 3.0):
-            sample = pareto_sample(rng, alpha=alpha, xm=1.0, size=50000)
-            estimate = hill_estimator(sample, k=2000)
-            assert estimate == pytest.approx(alpha, rel=0.15)
-
-    def test_exponential_looks_light(self):
-        rng = np.random.default_rng(31)
-        sample = rng.exponential(1.0, 50000)
-        # Exponential has "alpha = infinity"; Hill on it gives large values.
-        assert hill_estimator(sample, k=500) > 4.0
-
-    def test_k_bounds_checked(self):
-        with pytest.raises(StatsError):
-            hill_estimator([1.0, 2.0, 3.0], k=0)
-        with pytest.raises(StatsError):
-            hill_estimator([1.0, 2.0, 3.0], k=3)
-
-    def test_nonpositive_order_stats_rejected(self):
-        with pytest.raises(StatsError):
-            hill_estimator([-1.0, 0.0, 1.0], k=2)
-
-    def test_degenerate_top_returns_inf(self):
-        assert hill_estimator([1.0, 5.0, 5.0, 5.0], k=2) == float("inf")
 
 
 class TestTailHeavinessRatio:

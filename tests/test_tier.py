@@ -20,11 +20,10 @@ from repro.tier import (
     TierConfig,
     TieredDevice,
     available_heat_policies,
-    datacenter_ssd,
     make_heat_policy,
 )
 from repro.traces.millisecond import RequestTrace
-from repro.units import MIB, SECTOR_BYTES
+from repro.units import SECTOR_BYTES
 
 
 def tier_config(**kwargs):
@@ -50,7 +49,7 @@ class TestSsdSpec:
         assert many - one == pytest.approx(1023 * SECTOR_BYTES / ssd.read_bandwidth)
 
     def test_writes_slower_than_reads(self):
-        ssd = datacenter_ssd()
+        ssd = SsdSpec()
         assert ssd.service_time(64, True) > ssd.service_time(64, False)
 
     def test_faster_than_any_seek(self, tiny_drive):

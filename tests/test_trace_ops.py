@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import TraceError
 from repro.traces.millisecond import RequestTrace
-from repro.traces.ops import jitter, superpose, thin, time_scale, truncate
+from repro.traces.ops import jitter, thin
 
 
 @pytest.fixture
@@ -49,27 +49,6 @@ class TestThin:
         assert "thin" in thin(trace, 0.5).label
 
 
-class TestTimeScale:
-    def test_compress_doubles_rate(self, trace):
-        fast = time_scale(trace, 0.5)
-        assert fast.span == 50.0
-        assert fast.request_rate == pytest.approx(2 * trace.request_rate)
-        assert len(fast) == len(trace)
-
-    def test_attributes_untouched(self, trace):
-        scaled = time_scale(trace, 2.0)
-        np.testing.assert_array_equal(scaled.lbas, trace.lbas)
-        np.testing.assert_array_equal(scaled.nsectors, trace.nsectors)
-
-    def test_identity(self, trace):
-        same = time_scale(trace, 1.0)
-        np.testing.assert_array_equal(same.times, trace.times)
-
-    def test_bad_factor_rejected(self, trace):
-        with pytest.raises(TraceError):
-            time_scale(trace, 0.0)
-
-
 class TestJitter:
     def test_preserves_count_and_span(self, trace):
         noisy = jitter(trace, 0.05, seed=3)
@@ -91,31 +70,3 @@ class TestJitter:
     def test_negative_rejected(self, trace):
         with pytest.raises(TraceError):
             jitter(trace, -0.1)
-
-
-class TestSuperposeTruncate:
-    def test_superpose_adds_rates(self, trace):
-        double = superpose([trace, trace])
-        assert len(double) == 2 * len(trace)
-        assert double.request_rate == pytest.approx(2 * trace.request_rate)
-
-    def test_superpose_label(self, trace):
-        assert superpose([trace, trace]).label == "base+base"
-        assert superpose([trace], label="solo").label == "solo"
-
-    def test_superpose_empty_rejected(self):
-        with pytest.raises(TraceError):
-            superpose([])
-
-    def test_truncate(self, trace):
-        head = truncate(trace, 10.0)
-        assert head.span == 10.0
-        assert head.times.max() < 10.0
-        assert len(head) < len(trace)
-
-    def test_truncate_beyond_span_is_whole(self, trace):
-        assert len(truncate(trace, 1000.0)) == len(trace)
-
-    def test_truncate_bad_span(self, trace):
-        with pytest.raises(TraceError):
-            truncate(trace, 0.0)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.traffic import analyze_traffic, rw_ratio_series, write_bursts
+from repro.core.traffic import analyze_traffic, write_bursts
 from repro.errors import AnalysisError
 from repro.traces.millisecond import RequestTrace
 
@@ -88,19 +88,6 @@ class TestWriteBursts:
     def test_bad_threshold_rejected(self):
         with pytest.raises(AnalysisError):
             write_bursts(make_trace(), threshold=0.0)
-
-
-class TestRwRatio:
-    def test_values(self):
-        ratio = rw_ratio_series(make_trace(), scale=1.0)
-        assert np.isnan(ratio[0])  # no writes
-        assert ratio[1] == 0.0     # no reads over writes -> 0
-        assert ratio[2] == pytest.approx(3.0)
-        assert np.isnan(ratio[3])  # empty
-
-    def test_bad_scale_rejected(self):
-        with pytest.raises(AnalysisError):
-            rw_ratio_series(make_trace(), scale=-1.0)
 
 
 def test_markov_mix_swings_more_than_bernoulli(tiny_spec):

@@ -4,33 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import TraceError
-from repro.traces.window import (
-    TimeWindow,
-    aggregate,
-    bin_counts,
-    bin_sums,
-    sliding_windows,
-)
-
-
-class TestTimeWindow:
-    def test_length(self):
-        assert TimeWindow(1.0, 3.5).length == 2.5
-
-    def test_contains_half_open(self):
-        w = TimeWindow(1.0, 2.0)
-        assert w.contains(1.0)
-        assert w.contains(1.99)
-        assert not w.contains(2.0)
-
-    def test_reversed_rejected(self):
-        with pytest.raises(TraceError):
-            TimeWindow(2.0, 1.0)
-
-    def test_overlap(self):
-        a = TimeWindow(0.0, 2.0)
-        assert a.overlap(TimeWindow(1.0, 3.0)) == 1.0
-        assert a.overlap(TimeWindow(5.0, 6.0)) == 0.0
+from repro.traces.window import aggregate, bin_counts, bin_sums
 
 
 class TestBinCounts:
@@ -70,23 +44,6 @@ class TestBinSums:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(TraceError):
             bin_sums(np.zeros(2), np.zeros(3), 1.0, 2.0)
-
-
-class TestSlidingWindows:
-    def test_non_overlapping(self):
-        windows = list(sliding_windows(10.0, 5.0, 5.0))
-        assert [(w.start, w.end) for w in windows] == [(0.0, 5.0), (5.0, 10.0)]
-
-    def test_overlapping(self):
-        windows = list(sliding_windows(4.0, 2.0, 1.0))
-        assert len(windows) == 4
-        assert windows[-1].end == 4.0  # truncated at span
-
-    def test_bad_params_rejected(self):
-        with pytest.raises(TraceError):
-            list(sliding_windows(10.0, 0.0, 1.0))
-        with pytest.raises(TraceError):
-            list(sliding_windows(10.0, 1.0, 0.0))
 
 
 class TestAggregate:
